@@ -1,92 +1,5 @@
-"""Max-min SINR beamforming and user association under per-RRH fronthaul caps."""
+"""Max-min SINR beamforming and user association under per-RRH fronthaul caps.
 
-from cran_maxmin.model import (
-    AssociationMap,
-    BeamformerSet,
-    ChannelState,
-    IterationRecord,
-    NetworkConfig,
-    SolveReport,
-    achievable_rate,
-    association_indicator,
-    compute_all_sinrs,
-    compute_sinr,
-    fronthaul_load,
-    load_channel_state,
-    per_rrh_power,
-    save_channel_state,
-)
-from cran_maxmin.channels import (
-    GenConfig,
-    Topology,
-    generate_channels,
-    generate_topology,
-    noise_power,
-    splitmix64,
-    trial_seed,
-)
-from cran_maxmin.beamforming import (
-    FeasibilityOutcome,
-    SolverIndeterminate,
-    SolverTolerances,
-    check_feasible,
-    solve_max_min,
-    solve_power_min,
-)
-from cran_maxmin.association import (
-    LinkChoice,
-    benchmark1_select,
-    bottleneck_rrhs,
-    candidate_links,
-    fronthaul_cap,
-    run_algorithm1,
-    run_benchmark2,
-    run_benchmark3,
-    select_removal,
-)
-from cran_maxmin.oracle import exhaustive_best, solve_fixed_association
-from cran_maxmin.harness import ExperimentConfig, run_sweep, write_csv
-
-__all__ = [
-    "AssociationMap",
-    "BeamformerSet",
-    "ChannelState",
-    "ExperimentConfig",
-    "FeasibilityOutcome",
-    "GenConfig",
-    "IterationRecord",
-    "LinkChoice",
-    "NetworkConfig",
-    "SolveReport",
-    "SolverIndeterminate",
-    "SolverTolerances",
-    "Topology",
-    "achievable_rate",
-    "association_indicator",
-    "benchmark1_select",
-    "bottleneck_rrhs",
-    "candidate_links",
-    "check_feasible",
-    "compute_all_sinrs",
-    "compute_sinr",
-    "exhaustive_best",
-    "fronthaul_cap",
-    "fronthaul_load",
-    "generate_channels",
-    "generate_topology",
-    "load_channel_state",
-    "noise_power",
-    "per_rrh_power",
-    "run_algorithm1",
-    "run_benchmark2",
-    "run_benchmark3",
-    "run_sweep",
-    "save_channel_state",
-    "select_removal",
-    "solve_fixed_association",
-    "solve_max_min",
-    "solve_power_min",
-    "splitmix64",
-    "trial_seed",
-    "write_csv",
-]
+The Python API lives in the submodules (model, channels, socp, beamforming,
+association, oracle, harness, cli); the package root exports nothing.
+"""

@@ -27,6 +27,7 @@ from cran_maxmin.model import (
     IterationRecord,
     NetworkConfig,
     SolveReport,
+    aggregate_gains,
     association_indicator,
 )
 
@@ -48,7 +49,9 @@ class SolveCache:
     Distinct schemes and fronthaul capacities revisit the same associations
     (a common-capacity sweep leaves the removal path capacity-independent),
     so a sweep shares one cache per trial.  Hits return the exact floats of
-    the first computation, which keeps sweeps bit-reproducible.
+    the first computation, which keeps sweeps bit-reproducible.  A max-min
+    that failed is remembered under its exact request (association and hint)
+    and raised again without re-solving; the solve is deterministic.
     """
 
     def __init__(self, ch: ChannelState, power_cap_w, noise_power_w: float,
@@ -59,13 +62,22 @@ class SolveCache:
         self.tol = tol
         self._max_min = {}
         self._power_min = {}
+        self._failed = {}  # (omega, hint) -> (message, stats)
 
     def max_min(self, assoc: AssociationMap, gamma_upper_hint=None):
         key = assoc.omega
         if key not in self._max_min:
-            self._max_min[key] = solve_max_min(
-                self.ch, assoc, self.power_cap_w, self.noise_power_w, self.tol,
-                gamma_upper_hint=gamma_upper_hint)
+            failure = self._failed.get((key, gamma_upper_hint))
+            if failure is not None:
+                # a fresh exception, so a runner's partial_report stays its own
+                raise SolverIndeterminate(*failure)
+            try:
+                self._max_min[key] = solve_max_min(
+                    self.ch, assoc, self.power_cap_w, self.noise_power_w,
+                    self.tol, gamma_upper_hint=gamma_upper_hint)
+            except SolverIndeterminate as exc:
+                self._failed[(key, gamma_upper_hint)] = (str(exc), exc.stats)
+                raise
         return self._max_min[key]
 
     def power_min(self, assoc: AssociationMap, gamma: float):
@@ -75,6 +87,22 @@ class SolveCache:
                 self.ch, assoc, gamma, self.power_cap_w, self.noise_power_w,
                 self.tol)
         return self._power_min[key]
+
+    def evaluate(self, assoc: AssociationMap, cfg: NetworkConfig,
+                 gamma_upper_hint=None):
+        """Value of a fixed association, the combination rule every scheme
+        is scored by: gamma = min(gamma1, gamma2) of the wireless max-min
+        gamma1 and the fronthaul closed form gamma2.  The beamformers come
+        from the binding side: the max-min ones when gamma1 <= gamma2,
+        otherwise a power-min at gamma2.
+
+        Returns (gamma1, gamma2, gamma, beamformers).
+        """
+        gamma1, bf1 = self.max_min(assoc, gamma_upper_hint)
+        gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
+        if gamma1 <= gamma2:
+            return gamma1, gamma2, gamma1, bf1
+        return gamma1, gamma2, gamma2, self.power_min(assoc, gamma2)
 
 
 def fronthaul_cap(assoc: AssociationMap, fronthaul_cap_bps: Sequence[float],
@@ -132,7 +160,7 @@ def select_removal(ch: ChannelState, bf1: BeamformerSet, phi: set,
     """
     if not phi:
         raise ValueError("candidate link set is empty")
-    A = np.einsum("knm,jnm->kj", ch.h.conj(), bf1.w)  # aggregate gains
+    A = aggregate_gains(ch, bf1)
     interf = (np.abs(A) ** 2).sum(axis=1) - np.abs(A.diagonal()) ** 2
     own = np.abs(np.einsum("knm,knm->kn", ch.h.conj(), bf1.w)) ** 2  # per-link signal
     own_total = own.sum(axis=1)
@@ -182,26 +210,20 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
         cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     report = SolveReport(scheme_label=label)
     assoc = AssociationMap.full(cfg.n_rrh, cfg.n_users)
-    best_gamma, best_bf, best_assoc = -math.inf, None, None
+    best_gamma, best_bf = -math.inf, None
     hint = None
 
     try:
         for t in range(1, cfg.n_rrh * cfg.n_users + 2):
+            gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg, hint)
             # removing links never improves the wireless optimum, so the
             # previous value (with tolerance headroom) bounds this one
-            gamma1, bf1 = cache.max_min(assoc, gamma_upper_hint=hint)
             hint = gamma1 * (1.0 + 10.0 * tol.bisection_rel_tol)
-            gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
-            gamma_t = min(gamma1, gamma2)
-            if gamma1 >= gamma2:
-                bf_t = cache.power_min(assoc, gamma2)
-            else:
-                bf_t = bf1
             rec = IterationRecord(t, gamma1, gamma2, gamma_t, None, None,
                                   assoc.sizes())
             report.iterations.append(rec)
             if gamma_t >= best_gamma:
-                best_gamma, best_bf, best_assoc = gamma_t, bf_t, assoc
+                best_gamma, best_bf = gamma_t, bf_t
 
             if gamma1 <= gamma2:
                 break
@@ -209,6 +231,7 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
             phi = candidate_links(psi, assoc, last_link_guard)
             if not phi:
                 break
+            _, bf1 = cache.max_min(assoc)  # solved by evaluate: a hit
             if selector == "residual":
                 choice = select_removal(ch, bf1, phi, cfg.noise_power_w)
             else:
@@ -239,17 +262,6 @@ def nearest_rrh_association(ch: ChannelState, topology=None) -> AssociationMap:
     return AssociationMap(tuple(frozenset(s) for s in omega))
 
 
-def _evaluate_fixed(ch, assoc, cfg, tol, cache: SolveCache):
-    """Value of a fixed association: the smaller of the wireless and
-    fronthaul optima, with beamformers from whichever branch binds."""
-    gamma1, bf1 = cache.max_min(assoc)
-    gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
-    if gamma1 <= gamma2:
-        return gamma1, gamma2, gamma1, bf1
-    bf2 = cache.power_min(assoc, gamma2)
-    return gamma1, gamma2, gamma2, bf2
-
-
 def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
                    tol: SolverTolerances = SolverTolerances(),
                    topology=None,
@@ -264,12 +276,12 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     assoc = nearest_rrh_association(ch, topology)
     norms = np.linalg.norm(ch.h, axis=2) ** 2
 
-    best = None  # (gamma, bf, assoc)
+    best = None  # (gamma, bf)
     prev_gamma = -math.inf
     activated: Optional[LinkChoice] = None
     try:
         for t in range(1, cfg.n_rrh * cfg.n_users + 2):
-            gamma1, gamma2, gamma_t, bf_t = _evaluate_fixed(ch, assoc, cfg, tol, cache)
+            gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg)
             report.iterations.append(IterationRecord(
                 t, gamma1, gamma2, gamma_t,
                 activated.user if activated else None,
@@ -277,7 +289,7 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
                 assoc.sizes()))
             if gamma_t < prev_gamma:
                 break
-            best = (gamma_t, bf_t, assoc)
+            best = (gamma_t, bf_t)
             prev_gamma = gamma_t
             inactive = {(k, n): norms[k, n]
                         for k in range(cfg.n_users) for n in range(cfg.n_rrh)
@@ -292,7 +304,7 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
         exc.partial_report = report
         raise
 
-    gamma, bf, _ = best
+    gamma, bf = best
     report.final_gamma = gamma
     report.final_beamformers = bf
     report.final_association = _final_association(bf, cfg)
@@ -309,7 +321,7 @@ def run_benchmark3(ch: ChannelState, cfg: NetworkConfig,
         cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     assoc = nearest_rrh_association(ch, topology)
     try:
-        gamma1, gamma2, gamma_t, bf_t = _evaluate_fixed(ch, assoc, cfg, tol, cache)
+        gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg)
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise

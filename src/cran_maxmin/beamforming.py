@@ -200,18 +200,21 @@ class _BeamProblem:
         return BeamformerSet(w)
 
     # -- solves -------------------------------------------------------------
-    def solve_margin(self, gamma: float):
-        """Maximize the feasibility margin at SINR target gamma."""
+    def probe(self, gamma: float, tol: SolverTolerances) -> FeasibilityOutcome:
+        """Feasibility verdict at SINR target gamma from the optimal margin:
+        feasible iff it clears -cone_feas_tol, indeterminate if the solver
+        stalled."""
         G2, h2, spec = self._instantiate(self._margin, gamma)
         c = np.zeros(self.nx)
         c[0] = -1.0
         res = solve_socp(c, G2, h2, spec)
-        stats = SolverStats(res.status, res.iterations,
-                            -res.obj if res.obj is not None else None,
-                            res.pres, res.dres)
+        margin = -res.obj if res.obj is not None else None
+        stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
         if res.status != "optimal":
-            return None, None, stats
-        return -res.obj, self.unpack(res.x), stats
+            return FeasibilityOutcome("indeterminate", None, stats)
+        if margin >= -tol.cone_feas_tol:
+            return FeasibilityOutcome("feasible", self.unpack(res.x), stats)
+        return FeasibilityOutcome("infeasible", None, stats)
 
     def solve_power_min(self, gamma: float):
         """Minimize total transmit power at fixed SINR target gamma."""
@@ -248,13 +251,7 @@ def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
     if assoc.unserved_users(ch.n_users):
         return FeasibilityOutcome("infeasible", None,
                                   SolverStats("optimal", 0, -math.inf, 0.0, 0.0))
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
-    margin, bf, stats = prob.solve_margin(gamma_target)
-    if margin is None:
-        return FeasibilityOutcome("indeterminate", None, stats)
-    if margin >= -tol.cone_feas_tol:
-        return FeasibilityOutcome("feasible", bf, stats)
-    return FeasibilityOutcome("infeasible", None, stats)
+    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target, tol)
 
 
 def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
@@ -287,12 +284,12 @@ def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
         if hi - lo <= tol.bisection_rel_tol * lo:
             break
         mid = 0.5 * (lo + hi)
-        margin, bf, stats = prob.solve_margin(mid)
-        if margin is None:
+        out = prob.probe(mid, tol)
+        if out.status == "indeterminate":
             raise SolverIndeterminate(
-                f"feasibility probe at gamma={mid} did not converge", stats)
-        if margin >= -tol.cone_feas_tol:
-            lo, bf_lo = mid, bf
+                f"feasibility probe at gamma={mid} did not converge", out.solver_stats)
+        if out.status == "feasible":
+            lo, bf_lo = mid, out.beamformers
         else:
             hi = mid
     if lo == 0.0 or bf_lo is None:

@@ -6,15 +6,17 @@ Exit codes: 0 success, 1 usage/validation error, 2 solver indeterminate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from cran_maxmin.beamforming import SolverIndeterminate
-from cran_maxmin.channels import generate_channels, generate_topology, trial_seed
 from cran_maxmin.harness import (
+    RUNNERS,
     ConfigError,
     ExperimentConfig,
+    draw_trial,
     resolve_workers,
     run_scheme,
     run_sweep,
@@ -37,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run one scheme on one instance")
-    solve.add_argument("--scheme", required=True,
-                       choices=["alg1", "bench1", "bench2", "bench3"])
+    solve.add_argument("--scheme", required=True, choices=list(RUNNERS))
     solve.add_argument("--channels", required=True)
     solve.add_argument("--config", required=True)
     solve.add_argument("--fronthaul-bps", type=float, default=None)
@@ -64,12 +65,7 @@ def _load_config(path) -> ExperimentConfig:
 
 def _cmd_gen_channels(args) -> int:
     cfg = _load_config(args.config)
-    # distinct sub-streams for placement and fading, as in the sweep driver
-    topo = generate_topology(cfg.gen_config(), cfg.n_rrh, cfg.n_users,
-                             trial_seed(args.seed, 0))
-    ch = generate_channels(topo, cfg.gen_config(), cfg.n_antennas,
-                           trial_seed(args.seed, 1),
-                           noise_power_w=cfg.noise_power_w())
+    _, ch = draw_trial(dataclasses.replace(cfg, seed=args.seed), 0)
     save_channel_state(ch, args.out)
     print(f"wrote {args.out}: K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}")
     return 0

@@ -30,7 +30,21 @@ from cran_maxmin.channels import GenConfig, generate_channels, generate_topology
 from cran_maxmin.model import NetworkConfig
 
 WORKERS_ENV_VAR = "CRAN_MAXMIN_WORKERS"
-SCHEMES = ("alg1", "bench1", "bench2", "bench3")
+
+# The scheme registry: the only list of schemes.  The lambdas look the
+# runners up by module-level name at call time, so a patched or wrapped
+# runner is the one that runs.
+RUNNERS = {
+    "alg1": lambda ch, cfg, tol, topo, cache: run_algorithm1(
+        ch, cfg, tol, "residual", cache=cache),
+    "bench1": lambda ch, cfg, tol, topo, cache: run_algorithm1(
+        ch, cfg, tol, "leakage", cache=cache),
+    "bench2": lambda ch, cfg, tol, topo, cache: run_benchmark2(
+        ch, cfg, tol, topo, cache=cache),
+    "bench3": lambda ch, cfg, tol, topo, cache: run_benchmark3(
+        ch, cfg, tol, topo, cache=cache),
+}
+
 CSV_COLUMNS = ("fronthaul_bps", "scheme", "trial", "gamma_linear", "gamma_db",
                "iterations", "runtime_ms", "status")
 
@@ -59,7 +73,7 @@ class ExperimentConfig:
     fronthaul_cap_bps: Optional[float | list] = None  # single-instance runs
     trials: int = 20
     seed: int = 1
-    schemes: list = field(default_factory=lambda: list(SCHEMES))
+    schemes: list = field(default_factory=lambda: list(RUNNERS))
     redraw: str = "both"  # redraw "both" topology+fading, or "fading" only
     bisection_rel_tol: float = 1e-4
     cone_feas_tol: float = 1e-7
@@ -74,10 +88,10 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(sweep[1:], sweep[:-1])):
             raise ConfigError("fronthaul_sweep_bps: must be strictly increasing")
         self.fronthaul_sweep_bps = [float(v) for v in sweep]
-        bad = [s for s in self.schemes if s not in SCHEMES]
+        bad = [s for s in self.schemes if s not in RUNNERS]
         if bad or not self.schemes:
-            raise ConfigError(f"schemes: must be a nonempty subset of {SCHEMES}, "
-                              f"got {self.schemes}")
+            raise ConfigError(f"schemes: must be a nonempty subset of "
+                              f"{tuple(RUNNERS)}, got {self.schemes}")
         if self.redraw not in ("both", "fading"):
             raise ConfigError("redraw: must be 'both' or 'fading'")
 
@@ -136,22 +150,10 @@ class ExperimentConfig:
         return self.fronthaul_sweep_bps[0]
 
 
-_RUNNERS = {
-    "alg1": lambda ch, cfg, tol, topo, cache: run_algorithm1(
-        ch, cfg, tol, "residual", cache=cache),
-    "bench1": lambda ch, cfg, tol, topo, cache: run_algorithm1(
-        ch, cfg, tol, "leakage", cache=cache),
-    "bench2": lambda ch, cfg, tol, topo, cache: run_benchmark2(
-        ch, cfg, tol, topo, cache=cache),
-    "bench3": lambda ch, cfg, tol, topo, cache: run_benchmark3(
-        ch, cfg, tol, topo, cache=cache),
-}
-
-
 def run_scheme(scheme: str, ch, netcfg, tol, topology=None, cache=None):
-    if scheme not in _RUNNERS:
+    if scheme not in RUNNERS:
         raise ConfigError(f"scheme: unknown scheme '{scheme}'")
-    return _RUNNERS[scheme](ch, netcfg, tol, topology, cache)
+    return RUNNERS[scheme](ch, netcfg, tol, topology, cache)
 
 
 def draw_trial(cfg: ExperimentConfig, trial: int):

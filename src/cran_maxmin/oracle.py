@@ -1,30 +1,20 @@
 """Brute-force ground truth on tiny instances.
 
-Enumerates every user-RRH association (2^(N*K) of them), solves each fixed
-association exactly via the min(wireless, fronthaul) combination rule, and
-keeps the best.  Deliberately transparent: no pruning beyond skipping maps
-that leave a user unserved.
+Enumerates every user-RRH association (2^(N*K) of them), scores each fixed
+association with the min(wireless, fronthaul) combination rule of
+`SolveCache.evaluate`, and keeps the best.  Deliberately transparent: no
+pruning beyond skipping maps that leave a user unserved.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from cran_maxmin.association import fronthaul_cap
-from cran_maxmin.beamforming import SolverTolerances, solve_max_min, solve_power_min
+from cran_maxmin.association import SolveCache
+from cran_maxmin.beamforming import SolverTolerances
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState, NetworkConfig
 
 MAX_ORACLE_LINKS = 12
-
-
-def _evaluate(ch, assoc, cfg, tol, hint=None) -> Tuple[float, BeamformerSet]:
-    gamma1, bf1 = solve_max_min(ch, assoc, cfg.power_cap_w, cfg.noise_power_w,
-                                tol, gamma_upper_hint=hint)
-    gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
-    if gamma1 <= gamma2:
-        return gamma1, bf1
-    bf2 = solve_power_min(ch, assoc, gamma2, cfg.power_cap_w, cfg.noise_power_w, tol)
-    return gamma2, bf2
 
 
 def solve_fixed_association(ch: ChannelState, assoc: AssociationMap,
@@ -34,7 +24,9 @@ def solve_fixed_association(ch: ChannelState, assoc: AssociationMap,
     """Optimal common SINR of one fixed association: the smaller of the
     wireless max-min value and the fronthaul closed form, with beamformers
     from the binding side."""
-    return _evaluate(ch, assoc, cfg, tol)
+    cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
+    _, _, gamma, bf = cache.evaluate(assoc, cfg)
+    return gamma, bf
 
 
 def _mask_to_association(mask: int, n_users: int, n_rrh: int) -> AssociationMap:
@@ -59,16 +51,16 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
     if links > MAX_ORACLE_LINKS:
         raise ValueError(
             f"oracle refuses N*K = {links} > {MAX_ORACLE_LINKS} links")
+    cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     # the full association bounds every subset's wireless optimum
-    full_gamma, _ = solve_max_min(ch, AssociationMap.full(cfg.n_rrh, cfg.n_users),
-                                  cfg.power_cap_w, cfg.noise_power_w, tol)
+    full_gamma, _ = cache.max_min(AssociationMap.full(cfg.n_rrh, cfg.n_users))
     hint = full_gamma * (1.0 + 10.0 * tol.bisection_rel_tol)
     best_gamma, best_assoc = -1.0, None
     for mask in range(1 << links):
         assoc = _mask_to_association(mask, cfg.n_users, cfg.n_rrh)
         if require_all_served and assoc.unserved_users(cfg.n_users):
             continue
-        gamma, _ = _evaluate(ch, assoc, cfg, tol, hint)
+        _, _, gamma, _ = cache.evaluate(assoc, cfg, hint)
         if gamma > best_gamma:
             best_gamma, best_assoc = gamma, assoc
     if best_assoc is None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
+from cran_maxmin import association
 from cran_maxmin.association import (
     SolveCache,
     benchmark1_select,
@@ -19,8 +20,8 @@ from cran_maxmin.association import (
     run_benchmark3,
     select_removal,
 )
-from cran_maxmin.beamforming import SolverTolerances, mrt_gamma_upper_bound, \
-    solve_max_min
+from cran_maxmin.beamforming import SolverIndeterminate, SolverStats, \
+    SolverTolerances, mrt_gamma_upper_bound, solve_max_min
 from cran_maxmin.model import (
     AssociationMap,
     BeamformerSet,
@@ -392,3 +393,67 @@ class TestSolveCache:
         b = run_algorithm1(ch, cfg, TOL)
         assert a.final_gamma == b.final_gamma
         assert [r.gamma for r in a.iterations] == [r.gamma for r in b.iterations]
+
+    def test_evaluate_combination_rule(self):
+        ch = random_channels(72, 3, 2, 2)
+        assoc = AssociationMap.full(2, 3)
+        cache = SolveCache(ch, (1.0, 1.0), 1.0, TOL)
+        g1, bf1 = cache.max_min(assoc)
+        loose = _netcfg(ch, 1.0, (1e12, 1e12))
+        gamma1, gamma2, gamma, bf = cache.evaluate(assoc, loose)
+        assert (gamma1, gamma2, gamma) == (g1, math.inf, g1) and bf is bf1
+        tight = _netcfg(ch, 1.0, (1e6, 1e6))
+        gamma1, gamma2, gamma, bf = cache.evaluate(assoc, tight)
+        assert gamma2 < gamma1 == g1 and gamma == gamma2
+        assert bf is cache.power_min(assoc, gamma2)
+
+
+class TestSolveCacheFailures:
+    """A failed max-min is remembered under its exact request."""
+
+    @staticmethod
+    def _failing_solve(monkeypatch):
+        calls = []
+
+        def solve(ch, assoc, power_cap_w, noise_power_w, tol, gamma_upper_hint=None):
+            calls.append(gamma_upper_hint)
+            raise SolverIndeterminate("probe stalled",
+                                      SolverStats("stalled", 19, None, 4.56e-6, 0.0))
+
+        monkeypatch.setattr(association, "solve_max_min", solve)
+        return calls
+
+    def test_repeat_request_is_not_re_solved(self, monkeypatch):
+        calls = self._failing_solve(monkeypatch)
+        cache = SolveCache(random_channels(73, 3, 2, 2), (1.0, 1.0), 1.0, TOL)
+        assoc = AssociationMap.full(2, 3)
+        with pytest.raises(SolverIndeterminate) as first:
+            cache.max_min(assoc)
+        with pytest.raises(SolverIndeterminate) as second:
+            cache.max_min(assoc)
+        assert len(calls) == 1
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value)
+        assert second.value.stats is first.value.stats
+
+    def test_other_hint_still_solves(self, monkeypatch):
+        calls = self._failing_solve(monkeypatch)
+        cache = SolveCache(random_channels(74, 3, 2, 2), (1.0, 1.0), 1.0, TOL)
+        assoc = AssociationMap.full(2, 3)
+        for hint in (None, 5.0, None, 5.0, 6.0):
+            with pytest.raises(SolverIndeterminate):
+                cache.max_min(assoc, gamma_upper_hint=hint)
+        assert calls == [None, 5.0, 6.0]
+
+    def test_each_run_keeps_its_own_partial_report(self, monkeypatch):
+        self._failing_solve(monkeypatch)
+        ch = random_channels(75, 3, 2, 2)
+        cfg = _netcfg(ch, 1.0, (10e6, 10e6))
+        cache = SolveCache(ch, cfg.power_cap_w, 1.0, TOL)
+        reports = []
+        for runner in (run_benchmark3, run_benchmark2, run_benchmark3):
+            with pytest.raises(SolverIndeterminate) as err:
+                runner(ch, cfg, TOL, cache=cache)
+            reports.append(err.value.partial_report)
+        assert [r.scheme_label for r in reports] == ["bench3", "bench2", "bench3"]
+        assert len({id(r) for r in reports}) == 3

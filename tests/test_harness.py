@@ -12,8 +12,10 @@ import pytest
 
 from cran_maxmin.cli import cli_main
 from cran_maxmin.harness import (
+    RUNNERS,
     ConfigError,
     ExperimentConfig,
+    draw_trial,
     run_sweep,
     write_csv,
 )
@@ -195,6 +197,34 @@ class TestCli:
                          "--out", str(out)]) == 0
         ch = load_channel_state(out)
         assert (ch.n_users, ch.n_rrh, ch.n_antennas) == (3, 2, 2)
+
+    @pytest.mark.parametrize("redraw", ["both", "fading"])
+    def test_gen_channels_is_trial_0(self, tmp_path, capsys, redraw):
+        cfg = self._config_file(tmp_path, redraw=redraw)
+        out = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(out)])
+        ch = load_channel_state(out)
+        _, expected = draw_trial(tiny_config(redraw=redraw, seed=3), 0)
+        assert np.array_equal(ch.h, expected.h)
+        assert ch.noise_power_w == expected.noise_power_w
+
+    @pytest.mark.parametrize("scheme", list(RUNNERS))
+    def test_solve_accepts_every_registered_scheme(self, tmp_path, capsys, scheme):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(chan)])
+        assert cli_main(["solve", "--scheme", scheme, "--channels", str(chan),
+                         "--config", str(cfg), "--fronthaul-bps", "8e6"]) == 0
+
+    def test_solve_unknown_scheme_exit_1(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(chan)])
+        assert cli_main(["solve", "--scheme", "magic", "--channels", str(chan),
+                         "--config", str(cfg)]) == 1
 
     def test_solve_prints_trace(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path)

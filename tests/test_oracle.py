@@ -2,11 +2,13 @@
 dominance over the heuristic schemes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
+from cran_maxmin import beamforming
 from cran_maxmin.association import fronthaul_cap, run_algorithm1
 from cran_maxmin.beamforming import SolverTolerances, solve_max_min
 from cran_maxmin.model import (
@@ -95,3 +97,22 @@ class TestExhaustiveBest:
         # the unserved map scores zero, so the optimum is unchanged
         assert g_on == pytest.approx(g_off, rel=1e-9)
         assert a_on.omega == a_off.omega
+
+    def test_each_association_solved_once(self, monkeypatch):
+        # 2 RRHs x 3 users: 3^3 = 27 associations serve every user, the full
+        # one included, so 27 max-min solves and no second one for the bound
+        calls = []
+        original = beamforming.solve_max_min
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].omega)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cran_maxmin") and \
+                    getattr(module, "solve_max_min", None) is original:
+                monkeypatch.setattr(module, "solve_max_min", counting)
+        _, ch, sigma2 = desk_instance(5, n_rrh=2, n_users=3)
+        exhaustive_best(ch, _netcfg(ch, sigma2, (8e6, 8e6)), TOL)
+        assert len(calls) == 27
+        assert len(set(calls)) == 27
