@@ -1,4 +1,4 @@
-"""SINR-target feasibility, max-min SINR bisection, and power minimization.
+"""SINR-target feasibility, max-min SINR search, and power minimization.
 
 The feasibility question "do beamformers exist meeting SINR target gamma at
 every user, under per-RRH power caps and a fixed user association" is posed
@@ -11,7 +11,8 @@ Feasibility is decided through a margin reformulation: maximize the common
 slack s subject to every cone constraint holding with margin s; the query is
 feasible iff the optimal margin clears -cone_feas_tol.  This always leaves a
 strictly feasible, bounded program, so the interior-point engine never has
-to certify infeasibility on a knife edge.
+to certify infeasibility on a knife edge.  The max-min search root-finds
+on the margin's value, not just its sign.
 
 Channels are normalized by the noise amplitude before building the cones
 (SINRs are invariant under h -> h/sigma, sigma -> 1), which keeps every
@@ -20,6 +21,7 @@ coefficient within a few orders of magnitude of unity.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,6 +30,8 @@ import numpy as np
 
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState
 from cran_maxmin.socp import ConeSpec, solve_socp
+
+_log = logging.getLogger(__name__)
 
 
 class SolverIndeterminate(RuntimeError):
@@ -42,6 +46,12 @@ class SolverIndeterminate(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverTolerances:
+    """bisection_rel_tol: a max-min search stops once its bracket
+    [lo feasible, hi infeasible] has hi - lo <= bisection_rel_tol * lo.
+    cone_feas_tol: a probe is feasible iff its optimal margin is at least
+    -cone_feas_tol.  max_bisection_iters: at most this many feasibility
+    probes per max-min search."""
+
     bisection_rel_tol: float = 1e-4
     cone_feas_tol: float = 1e-7
     max_bisection_iters: int = 60
@@ -90,7 +100,7 @@ class _BeamProblem:
     """Cone-program templates for one (channels, association, caps) triple.
 
     The interference rows scale with sqrt(gamma), everything else is fixed,
-    so a bisection reuses one template across all its probes.
+    so a max-min search reuses one template across all its probes.
     """
 
     def __init__(self, ch: ChannelState, assoc: AssociationMap, power_cap_w,
@@ -254,19 +264,74 @@ def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
     return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target, tol)
 
 
+def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances):
+    """Shrink the bracket [lo feasible, hi infeasible] around the max-min
+    optimum until hi - lo <= bisection_rel_tol * lo, with at most
+    max_bisection_iters probes.  Returns (lo, beamformers at lo).
+
+    f = margin + cone_feas_tol is >= 0 exactly at the feasible targets, falls
+    smoothly with gamma and is close to affine in t = sqrt(gamma).  The
+    first probe is at gamma_ub (if feasible, the search ends there) and the
+    second at gamma = 0, which gives f at both ends; each later probe is a regula falsi step in t with the
+    Illinois rule (Dowell & Jarratt 1971): when the same end moves twice in
+    a row, the stale end's f is halved.  The estimate r is probed at
+    r(1 + 0.45 tol) after a feasible probe and at r(1 - 0.45 tol) after an
+    infeasible one, so a probe on the root still closes the bracket and lo
+    ends about tol/2 below the boundary, where the trailing power-min is
+    well posed.  A step that leaves the bracket falls back to its midpoint.
+    """
+    lo, hi = 0.0, gamma_ub
+    f_lo = f_hi = None
+    bf_lo = None
+    moved = 0  # +1 after a feasible probe, -1 after an infeasible one
+    for _ in range(tol.max_bisection_iters):
+        if hi - lo <= tol.bisection_rel_tol * lo:
+            break
+        if f_hi is None:
+            gamma = hi
+        elif f_lo is None:
+            gamma = 0.0
+        else:
+            t_lo, t_hi = math.sqrt(lo), math.sqrt(hi)
+            t = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
+            gamma = t * t * (1.0 + 0.45 * tol.bisection_rel_tol * moved)
+            if not lo < gamma < hi:
+                gamma = 0.5 * (lo + hi)
+        out = prob.probe(gamma, tol)
+        if out.status == "indeterminate":
+            raise SolverIndeterminate(
+                f"feasibility probe at gamma={gamma} did not converge", out.solver_stats)
+        f = out.solver_stats.margin + tol.cone_feas_tol
+        if out.status == "feasible":
+            lo, f_lo, bf_lo = gamma, f, out.beamformers
+            if moved > 0:
+                f_hi *= 0.5
+            moved = 1
+        else:
+            hi, f_hi = gamma, f
+            if moved < 0:
+                f_lo *= 0.5
+            moved = -1
+    return lo, bf_lo
+
+
 def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
                   noise_power_w: float,
                   tol: SolverTolerances = SolverTolerances(),
                   gamma_upper_hint: Optional[float] = None):
-    """Largest common SINR achievable over the wireless links, by bisection.
+    """Largest common SINR achievable over the wireless links.
 
-    Returns (gamma, beamformers).  The beamformers are tightened by a
-    power-minimization solve at the final target so every user sits exactly
-    at the common SINR.
+    A bracketed root-finder on the probe margin (see `_max_min_bracket`)
+    narrows [lo, hi] from [0, upper bound] until hi - lo <=
+    bisection_rel_tol * lo; tol.max_bisection_iters caps its probes.
+    Returns (lo, beamformers).  The beamformers are tightened by a
+    power-minimization solve at lo so every user sits exactly at the common
+    SINR; if that solve fails at lo and at lo (1 - 1e-6), the probe's
+    beamformers at lo are returned and a WARNING is logged.
 
     gamma_upper_hint, when given, must be a valid upper bound on the optimum
     (e.g. the value at a superset association); it shrinks the initial
-    bisection interval below the interference-free bound.
+    bracket below the interference-free bound.
     """
     _validate(ch, assoc, power_cap_w)
     zeros = BeamformerSet.zeros(ch.n_users, ch.n_rrh, ch.n_antennas)
@@ -278,27 +343,20 @@ def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
     if gamma_ub <= 0.0:
         return 0.0, zeros
     prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
-    lo, hi = 0.0, gamma_ub
-    bf_lo = None
-    for _ in range(tol.max_bisection_iters):
-        if hi - lo <= tol.bisection_rel_tol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        out = prob.probe(mid, tol)
-        if out.status == "indeterminate":
-            raise SolverIndeterminate(
-                f"feasibility probe at gamma={mid} did not converge", out.solver_stats)
-        if out.status == "feasible":
-            lo, bf_lo = mid, out.beamformers
-        else:
-            hi = mid
-    if lo == 0.0 or bf_lo is None:
+    lo, bf_lo = _max_min_bracket(prob, gamma_ub, tol)
+    if lo == 0.0:
         return 0.0, zeros
+    statuses = []
     for target in (lo, lo * (1.0 - 1e-6)):
         try:
             return lo, prob.solve_power_min(target)
-        except (ValueError, SolverIndeterminate):
-            continue
+        except ValueError:
+            statuses.append("primal_infeasible")
+        except SolverIndeterminate as exc:
+            statuses.append(exc.stats.status)
+    _log.warning("power-min at gamma=%r failed (%s), association %s: "
+                 "keeping the feasibility probe's beamformers",
+                 lo, ", ".join(statuses), [sorted(s) for s in assoc.omega])
     return lo, bf_lo
 
 

@@ -9,10 +9,17 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
-from cran_maxmin.beamforming import SolverIndeterminate
-from cran_maxmin.harness import (
+# One BLAS/OpenMP thread per process, set before numpy loads: the solver's
+# dense kernels are small, so extra threads only contend, and a sweep's
+# workers already occupy the cores.  A value the user has set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from cran_maxmin.beamforming import SolverIndeterminate  # noqa: E402
+from cran_maxmin.harness import (  # noqa: E402
     RUNNERS,
     ConfigError,
     ExperimentConfig,
@@ -22,8 +29,8 @@ from cran_maxmin.harness import (
     run_sweep,
     write_csv,
 )
-from cran_maxmin.model import load_channel_state, save_channel_state
-from cran_maxmin.oracle import exhaustive_best
+from cran_maxmin.model import load_channel_state, save_channel_state  # noqa: E402
+from cran_maxmin.oracle import exhaustive_best  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -338,6 +338,23 @@ class TestBenchmark2:
             assert all(b >= a for a, b in zip(gammas[:-1], gammas[1:-1]))
             assert report.final_gamma == pytest.approx(max(gammas))
 
+    def test_solver_noise_is_not_a_drop(self):
+        # separately solved values differ by up to 2 bisection_rel_tol: a
+        # 1e-5 relative dip continues, a 3e-4 one stops the activation
+        ch = random_channels(32, 3, 2, 2)
+        cfg = _netcfg(ch, 1.0, (1e12, 1e12))
+        gammas = iter([1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4), 2.0])
+
+        class StubCache:
+            def evaluate(self, assoc, cfg, gamma_upper_hint=None):
+                g = next(gammas)
+                return g, math.inf, g, BeamformerSet.zeros(3, 2, 2)
+
+        report = run_benchmark2(ch, cfg, TOL, cache=StubCache())
+        assert [r.gamma for r in report.iterations] == \
+            [1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4)]
+        assert report.final_gamma == 1.1
+
 
 class TestBenchmark3:
     def test_single_rrh_equals_full_association(self):

@@ -1,19 +1,26 @@
-"""Conic-solver contracts: feasibility classification, bisection, power
-minimization, and the optimality properties the schemes rely on."""
+"""Conic-solver contracts: feasibility classification, the max-min search,
+power minimization, and the optimality properties the schemes rely on."""
 
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_channels
+from conftest import desk_instance, random_channels
+from cran_maxmin import beamforming
+from cran_maxmin.association import nearest_rrh_association
 from cran_maxmin.beamforming import (
+    SolverIndeterminate,
+    SolverStats,
     SolverTolerances,
     check_feasible,
     mrt_gamma_upper_bound,
     solve_max_min,
     solve_power_min,
 )
+from cran_maxmin.harness import ExperimentConfig, draw_trial
 from cran_maxmin.model import (
     AssociationMap,
     ChannelState,
@@ -180,6 +187,152 @@ class TestSolveMaxMin:
         g1, _ = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL,
                               gamma_upper_hint=g0 * 4.0)
         assert g1 == pytest.approx(g0, rel=3 * TOL.bisection_rel_tol)
+
+
+def reference_bisection(ch, assoc, caps, sigma2):
+    """Plain bisection on the probe verdict from [0, MRT bound] to the same
+    final bracket, hi - lo <= bisection_rel_tol * lo."""
+    prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
+    lo, hi = 0.0, mrt_gamma_upper_bound(ch, caps, sigma2)
+    for _ in range(TOL.max_bisection_iters):
+        if hi - lo <= TOL.bisection_rel_tol * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        status = prob.probe(mid, TOL).status
+        assert status != "indeterminate"
+        if status == "feasible":
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _root_finder_cases():
+    """(name, channels, association, caps, noise power, hint association):
+    the optimum at the hint association, when given, is the upper hint."""
+    cases = []
+    for seed in (100, 101):
+        ch = random_channels(seed, 4, 2, 2)
+        full = AssociationMap.full(2, 4)
+        cases.append((f"random{seed}-full", ch, full, (1.0, 1.0), 1.0, None))
+        cases.append((f"random{seed}-pruned", ch,
+                      full.remove_link(0, 0).remove_link(3, 1), (1.0, 1.0), 1.0, None))
+    for seed in (3, 4):
+        topo, ch, sigma2 = desk_instance(seed)
+        cases.append((f"desk{seed}-full", ch, AssociationMap.full(3, 6),
+                      (1.0,) * 3, sigma2, None))
+        cases.append((f"desk{seed}-nearest", ch, nearest_rrh_association(ch, topo),
+                      (1.0,) * 3, sigma2, None))
+    # the MRT bound is 3e4 times the optimum here
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+    _, ch = draw_trial(cfg, 1)
+    cases.append(("desk-config-trial1-full", ch, AssociationMap.full(3, 6),
+                  cfg.power_caps_w(), cfg.noise_power_w(), None))
+    # user 0 hears nothing from RRH 1, so link (0, 1) carries no power and
+    # the full association's optimum, the hint, is also the pruned one's
+    ch = random_channels(102, 3, 2, 2)
+    ch.h[0, 1] = 0.0
+    full = AssociationMap.full(2, 3)
+    cases.append(("hint-equals-optimum", ch, full.remove_link(0, 1), (1.0, 1.0), 1.0,
+                  full))
+    return cases
+
+
+ROOT_FINDER_CASES = _root_finder_cases()
+
+
+def _hint(case):
+    _, ch, _, caps, sigma2, hint_assoc = case
+    if hint_assoc is None:
+        return None
+    return solve_max_min(ch, hint_assoc, caps, sigma2, TOL)[0]
+
+
+def _counting_probes(monkeypatch):
+    calls = []
+    probe = beamforming._BeamProblem.probe
+
+    def counted(self, gamma, tol):
+        calls.append(gamma)
+        return probe(self, gamma, tol)
+
+    monkeypatch.setattr(beamforming._BeamProblem, "probe", counted)
+    return calls
+
+
+class TestMarginRootFinder:
+    @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
+    def test_matches_reference_bisection(self, case):
+        _, ch, assoc, caps, sigma2, _ = case
+        gamma, bf = solve_max_min(ch, assoc, caps, sigma2, TOL,
+                                  gamma_upper_hint=_hint(case))
+        ref = reference_bisection(ch, assoc, caps, sigma2)
+        assert ref > 0
+        assert abs(gamma - ref) <= 2 * TOL.bisection_rel_tol * ref
+        assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-6)).all()
+
+    @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
+    def test_at_most_ten_probes(self, case, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = case
+        hint = _hint(case)
+        calls = _counting_probes(monkeypatch)
+        solve_max_min(ch, assoc, caps, sigma2, TOL, gamma_upper_hint=hint)
+        assert 0 < len(calls) <= 10
+
+    def test_hint_at_the_optimum_is_not_exceeded(self):
+        ch = random_channels(103, 3, 2, 2)
+        assoc = AssociationMap.full(2, 3)
+        g0, _ = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL)
+        g1, bf = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL, gamma_upper_hint=g0)
+        assert g0 * (1 - 2 * TOL.bisection_rel_tol) <= g1 <= g0
+        assert (compute_all_sinrs(ch, bf, 1.0) >= g1 * (1 - 1e-6)).all()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_probe_cap(self, cap, monkeypatch):
+        ch = random_channels(104, 4, 2, 2)
+        assoc = AssociationMap.full(2, 4)
+        g_star = reference_bisection(ch, assoc, [1.0, 1.0], 1.0)
+        calls = _counting_probes(monkeypatch)
+        tol = SolverTolerances(max_bisection_iters=cap)
+        gamma, bf = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, tol)
+        assert 0 < len(calls) <= cap
+        assert 0.0 <= gamma <= g_star * (1 + 2 * TOL.bisection_rel_tol)
+        if gamma > 0:
+            assert (compute_all_sinrs(ch, bf, 1.0) >= gamma * (1 - 1e-6)).all()
+        else:
+            assert np.all(bf.w == 0)
+
+
+class TestPowerMinFallback:
+    def test_failed_power_min_logs_one_warning(self, monkeypatch, caplog):
+        ch = random_channels(105, 3, 2, 2)
+        assoc = AssociationMap.full(2, 3)
+        with caplog.at_level(logging.WARNING, logger="cran_maxmin.beamforming"):
+            g0, _ = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL)
+        assert not caplog.records
+
+        failures = iter([
+            SolverIndeterminate("stalled", SolverStats("indeterminate", 25, None,
+                                                       3e-6, 0.0)),
+            ValueError("infeasible"),
+        ])
+
+        def failing(self, gamma):
+            raise next(failures)
+
+        monkeypatch.setattr(beamforming._BeamProblem, "solve_power_min", failing)
+        with caplog.at_level(logging.WARNING, logger="cran_maxmin.beamforming"):
+            gamma, bf = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL)
+        assert gamma == g0
+        assert (compute_all_sinrs(ch, bf, 1.0) >= gamma * (1 - 1e-6)).all()
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name == "cran_maxmin.beamforming"
+        message = record.getMessage()
+        assert repr(gamma) in message
+        assert "indeterminate, primal_infeasible" in message
+        assert str([sorted(s) for s in assoc.omega]) in message
 
 
 class TestSolvePowerMin:

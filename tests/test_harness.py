@@ -294,3 +294,13 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "cran_maxmin.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 1  # no subcommand -> usage error
+
+    def test_one_blas_thread_unless_set(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        code = ("import os, cran_maxmin.cli; "
+                "print(*(os.environ[n] for n in %r))" % (names,))
+        unset = {k: v for k, v in os.environ.items() if k not in names}
+        for env, expected in ((unset, "1"), (dict(unset, **dict.fromkeys(names, "2")), "2")):
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert proc.stdout.split() == [expected] * 3
