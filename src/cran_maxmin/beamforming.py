@@ -116,8 +116,8 @@ class _BeamProblem:
         self.nx = 1 + 2 * self.M * len(self.pairs)
         self.serving = [sorted(assoc.serving_rrhs(k)) for k in range(self.K)]
         self.by_rrh = [sorted(assoc.omega[n]) for n in range(self.N)]
-        self._margin = self._build(margin=True)
-        self._power = None  # built on demand
+        self._margin = None  # templates are built on demand
+        self._power = None
 
     # -- template construction --------------------------------------------
     def _build(self, margin: bool):
@@ -214,6 +214,8 @@ class _BeamProblem:
         """Feasibility verdict at SINR target gamma from the optimal margin:
         feasible iff it clears -cone_feas_tol, indeterminate if the solver
         stalled."""
+        if self._margin is None:
+            self._margin = self._build(margin=True)
         G2, h2, spec = self._instantiate(self._margin, gamma)
         c = np.zeros(self.nx)
         c[0] = -1.0

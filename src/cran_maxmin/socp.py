@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small second-order cone programs.
+"""Primal-dual interior-point solver for second-order cone programs.
 
 Solves
     minimize    c'x
@@ -9,14 +9,17 @@ Q_d = {(u0, u_) in R x R^(d-1) : u0 >= ||u_||}; a cone of dimension 1 is the
 nonnegative ray.  The dual is  maximize -h'z  s.t.  G'z + c = 0, z in K.
 
 The method is the homogeneous self-dual embedding with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector step, dense numpy linear algebra
-throughout.  It is sized for the problems this package generates (tens to a
-few hundred variables, a handful of cone blocks) and supports nothing else:
-no free rows, no equality constraints, no sparsity.
+and a Mehrotra predictor-corrector step.  It supports nothing beyond the
+form above: no free rows, no equality constraints.
 
 G must have full column rank (every variable must enter some cone row);
-the reduced KKT matrix G' W^-2 G is then positive definite and a Cholesky
-factorization is reused for both right-hand sides of each iteration.
+the reduced Newton matrix G' W^-2 G is then positive definite, and one
+factorization per iteration serves all three of its solves.  It is solved
+one of two ways, picked from the shape of G (see `_newton_system`):
+programs under `_BLOCK_MIN_COLS` variables form it from W^-1 G and factor it
+whole; larger ones whose tail rows split the columns into small blocks (the
+beamforming templates: one block per user) solve it as a block-diagonal
+matrix plus low-rank cone-head terms, on a sparse G, without forming it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dtrtri
 
 _STEP = 0.99
 _MIN_STEP = 1e-13
@@ -177,6 +181,199 @@ class _Scaling:
         return out / self.eta[bid, None]
 
 
+# Programs with fewer variables than this factor G' W^-2 G whole: below it
+# the block solver's extra numpy calls cost more than the dense kernels.
+_BLOCK_MIN_COLS = 200
+
+
+def _jittered(factor, A: np.ndarray):
+    """factor(A + jitter I) for the first jitter of 0, 1e-12 and 1e-11 times
+    the largest diagonal entry that factors; None if none does."""
+    jitter = 0.0
+    for _ in range(3):
+        try:
+            return factor(A + jitter * np.eye(A.shape[-1]))
+        except LinAlgError:
+            jitter = max(10.0 * jitter,
+                         1e-12 * float(np.diagonal(A, axis1=-2, axis2=-1).max()))
+    return None
+
+
+class _DenseNewton:
+    """The reduced Newton matrix G' W^-2 G, formed from W^-1 G and
+    Cholesky-factored whole."""
+
+    def __init__(self, G: np.ndarray):
+        self.G, self.GT = G, G.T
+
+    def factor(self, scal: _Scaling) -> bool:
+        self.scal = scal
+        self.Gtil = scal.apply_w_inv_mat(self.G)
+        self.cho = _jittered(lambda A: cho_factor(A, lower=True, check_finite=False),
+                             self.Gtil.T @ self.Gtil)
+        return self.cho is not None
+
+    def solve(self, bx: np.ndarray, bz: np.ndarray):
+        """(dx, dz) with G' W^-2 G dx = bx + G' W^-2 bz, dz = W^-2 (G dx - bz)."""
+        bbz = self.scal.apply_w_inv(bz)
+        dx = cho_solve(self.cho, bx + self.Gtil.T @ bbz, check_finite=False)
+        dz = self.scal.apply_w_inv(self.Gtil @ dx - bbz)
+        return dx, dz
+
+
+class _BlockNewton:
+    """The reduced Newton matrix solved through its structure; G stays sparse
+    and unscaled.
+
+    Per cone, with head row g, tail rows T and u = G_i' J w,
+        G_i' W_i^-2 G_i = eta^-2 (T'T + 2 u u' - g g').
+    Columns joined by a tail row form one block, so D = sum eta^-2 T'T is
+    block-diagonal (one block per user in the beamforming templates); its
+    blocks are padded to one size and factored as a batch.  Columns in no
+    tail row (the margin or power variable) get D = delta, taken out again
+    by a low-rank term.  The rank-2 remainder of every cone goes through a
+    small capacitance matrix (Woodbury).  Its negative g g' terms cancel
+    most of some capacitance entries once a cone's w grows, so each solve is
+    refined against the exact operator, with the residual taken in the
+    scaled space as bx - G' W^-1 (W^-1 G dx - W^-1 bz), until the correction
+    falls below 1e-12 of dx or stops shrinking.  dz gets one correction step
+    so that W dz reproduces W^-1 (G dx - bz), the quantity the step uses.
+    """
+
+    _MAX_REFINE = 8
+
+    def __init__(self, G: np.ndarray, spec: ConeSpec):
+        # imported here: programs that stay on the dense path never load
+        # scipy.sparse, which adds about 5 MB to a process
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        m, n = G.shape
+        self.spec, self.n = spec, n
+        row, col = np.nonzero(G)
+        val = G[row, col]
+        self.G = csr_matrix((val, (row, col)), shape=(m, n))
+        self.GT = csr_matrix((val, (col, row)), shape=(n, m))
+        self.H = G[spec.heads].T.copy()
+        tail = np.ones(m, dtype=bool)
+        tail[spec.heads] = False
+        tail = tail[row]
+        trow, tcol, tval = row[tail], col[tail], val[tail]
+        # columns joined through a tail row share a block: components of the
+        # bipartite column-row graph
+        link = csr_matrix((np.ones(len(trow)), (tcol, n + trow)), shape=(n + m, n + m))
+        label = connected_components(link, directed=False)[1][:n]
+        touched = np.zeros(n, dtype=bool)
+        touched[tcol] = True
+        self.free = np.flatnonzero(~touched)
+        cols = np.flatnonzero(touched)
+        _, colblk = np.unique(label[cols], return_inverse=True)
+        colpos, nb, b = _slots(colblk)
+        self.perm = np.full((nb, b), n)  # padding points at a zero row
+        self.perm[colblk, colpos] = cols
+        blk = np.zeros(n, dtype=np.intp)
+        pos = np.zeros(n, dtype=np.intp)
+        blk[cols], pos[cols] = colblk, colpos
+
+        rows, first, entry = np.unique(trow, return_index=True, return_inverse=True)
+        rowblk = blk[tcol[first]]
+        rowpos, _, rmax = _slots(rowblk)
+        self.R = np.zeros((nb, rmax, b))
+        self.R[rowblk[entry], rowpos[entry], pos[tcol]] = tval
+        self.rcone = np.zeros((nb, rmax), dtype=np.intp)  # padding rows of R are 0
+        self.rcone[rowblk, rowpos] = spec.block_ids[rows]
+        self.pad = np.zeros((nb, b, b))
+        pb, pp = np.nonzero(self.perm == n)
+        self.pad[pb, pp, pp] = 1.0
+        self.width = b
+        self.rank = 2 * spec.nblocks + len(self.free)
+
+    def factor(self, scal: _Scaling) -> bool:
+        spec, n = self.spec, self.n
+        self.scal = scal
+        einv = 1.0 / scal.eta
+        jw = -scal.w
+        jw[spec.heads] = scal.w0
+        Rs = self.R * einv[self.rcone][:, :, None]
+        D = np.matmul(Rs.transpose(0, 2, 1), Rs) + self.pad
+        L = _jittered(np.linalg.cholesky, D)
+        if L is None:
+            return False
+        # a triangular inverse per block costs a third of numpy's batched LU
+        Linv = np.stack([dtrtri(Lk, lower=1)[0] for Lk in L])
+        self.Dinv = np.matmul(Linv.transpose(0, 2, 1), Linv)
+
+        nc = spec.nblocks
+        E = np.zeros((spec.m, nc))
+        E[np.arange(spec.m), spec.block_ids] = jw * einv[spec.block_ids]
+        V = np.zeros((n + 1, 2 * nc + len(self.free)))
+        V[:n, :nc] = self.GT @ E       # eta^-1 u per cone
+        V[:n, nc:2 * nc] = self.H * einv  # eta^-1 g per cone
+        self.delta = np.einsum("ij,ij->i", V[self.free], V[self.free])
+        self.delta[self.delta == 0.0] = 1.0
+        V[self.free, 2 * nc + np.arange(len(self.free))] = np.sqrt(self.delta)
+        DinvV = np.zeros_like(V)
+        DinvV[self.perm] = np.matmul(self.Dinv, V[self.perm])
+        DinvV[self.free] = V[self.free] / self.delta[:, None]
+        sinv = np.full(V.shape[1], -1.0)
+        sinv[:nc] = 0.5
+        C = V.T @ DinvV
+        C[np.diag_indices_from(C)] += sinv
+        if not np.isfinite(C).all():
+            return False
+        self.lu = lu_factor(C, check_finite=False)
+        self.V, self.DinvV = V, DinvV
+        return True
+
+    def _approx(self, y: np.ndarray) -> np.ndarray:
+        """(D + V S V')^-1 y by Woodbury."""
+        yx = np.append(y, 0.0)
+        z = np.zeros(self.n + 1)
+        z[self.perm] = np.matmul(self.Dinv, yx[self.perm][:, :, None])[:, :, 0]
+        z[self.free] = y[self.free] / self.delta
+        t = lu_solve(self.lu, self.V.T @ z, check_finite=False)
+        return (z - self.DinvV @ t)[:self.n]
+
+    def solve(self, bx: np.ndarray, bz: np.ndarray):
+        """(dx, dz) with G' W^-2 G dx = bx + G' W^-2 bz, dz = W^-2 (G dx - bz)."""
+        w_inv = self.scal.apply_w_inv
+        bbz = w_inv(bz)
+        dx = self._approx(bx + self.GT @ w_inv(bbz))
+        last = np.inf
+        for _ in range(self._MAX_REFINE):
+            step = self._approx(bx - self.GT @ w_inv(w_inv(self.G @ dx) - bbz))
+            dx += step
+            size = float(np.linalg.norm(step))
+            if size <= 1e-12 * float(np.linalg.norm(dx)) or size > 0.5 * last:
+                break
+            last = size
+        y = w_inv(self.G @ dx) - bbz
+        dz = w_inv(y)
+        return dx, dz + w_inv(y - self.scal.apply_w(dz))
+
+
+def _slots(group: np.ndarray):
+    """Position of each item within its group, the group count and the
+    largest group size."""
+    sizes = np.bincount(group)
+    order = np.argsort(group, kind="stable")
+    pos = np.empty(len(group), dtype=np.intp)
+    pos[order] = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pos, len(sizes), int(sizes.max(initial=0))
+
+
+def _newton_system(G: np.ndarray, spec: ConeSpec):
+    """The block solver when G is large and neither its widest block nor its
+    low-rank part spans more than a quarter of its columns; else the dense
+    one."""
+    n = G.shape[1]
+    if n >= _BLOCK_MIN_COLS:
+        newton = _BlockNewton(G, spec)
+        if max(newton.width, newton.rank) <= n // 4:
+            return newton
+    return _DenseNewton(G)
+
+
 @dataclass
 class SocpResult:
     """Outcome of a cone-program solve.
@@ -185,7 +382,9 @@ class SocpResult:
     and obj = c'x.  For "primal_infeasible", z is the Farkas certificate
     (G'z ~ 0, h'z = -1).  For "dual_infeasible", x is the unbounded ray.
     "indeterminate" means the iteration limit or a numerical stall was hit
-    before any of the three certificates was established.
+    before any of the three certificates was established.  iterations counts
+    the interior-point iterations run, also when the result is an earlier,
+    best iterate accepted with relaxed tolerances.
     """
 
     status: str
@@ -218,6 +417,7 @@ def solve_socp(
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
 
+    newton = _newton_system(G, spec)
     x = np.zeros(n)
     s = spec.identity()
     z = spec.identity()
@@ -236,8 +436,8 @@ def solve_socp(
     pres = dres = relgap = np.inf
     it = 0
     for it in range(max_iters):
-        Gx = G @ x
-        Gtz = G.T @ z
+        Gx = newton.G @ x
+        Gtz = newton.GT @ z
         cx = float(c @ x)
         hz = float(h @ z)
         rx = Gtz + c * tau
@@ -262,7 +462,7 @@ def solve_socp(
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
-            best = (x / tau, s / tau, z / tau, pcost, it, pres, dres, relgap)
+            best = (x / tau, s / tau, z / tau, pcost, pres, dres, relgap)
 
         try:
             scal = _Scaling(spec, s, z)
@@ -273,33 +473,17 @@ def solve_socp(
         if mu <= 1e-13 * mu0:
             break
 
-        Gtil = scal.apply_w_inv_mat(G)
-        M = Gtil.T @ Gtil
-        cho = None
-        jitter = 0.0
-        for _ in range(3):
-            try:
-                cho = cho_factor(M + jitter * np.eye(n), lower=True, check_finite=False)
-                break
-            except LinAlgError:
-                jitter = max(10.0 * jitter, 1e-12 * float(M.diagonal().max()))
-        if cho is None:
+        if not newton.factor(scal):
             break
 
-        def ksolve(bx, bz):
-            bbz = scal.apply_w_inv(bz)
-            dx = cho_solve(cho, bx + Gtil.T @ bbz, check_finite=False)
-            dz = scal.apply_w_inv(Gtil @ dx - bbz)
-            return dx, dz
-
-        x1, z1 = ksolve(-c, h)
+        x1, z1 = newton.solve(-c, h)
         den_tau = float(c @ x1 + h @ z1) - kappa / tau
 
         lamlam = spec.jprod(lam, lam)
 
         def direction(ds, dtk, damp):
             vs = spec.jdiv(lam, ds)
-            x2, z2 = ksolve(-damp * rx, -damp * rz - scal.apply_w(vs))
+            x2, z2 = newton.solve(-damp * rx, -damp * rz - scal.apply_w(vs))
             dtau = (-damp * rtau - float(c @ x2 + h @ z2) - dtk / tau) / den_tau
             dx = x2 + dtau * x1
             dz = z2 + dtau * z1
@@ -342,7 +526,7 @@ def solve_socp(
         kappa += alpha * dkappa
 
     if best is not None and best_score <= 1e-6:
-        bx, bs, bz, bobj, bit, bpres, bdres, brelgap = best
-        return SocpResult("optimal", bx, bs, bz, bobj, bit, bpres, bdres, brelgap)
+        bx, bs, bz, bobj, bpres, bdres, brelgap = best
+        return SocpResult("optimal", bx, bs, bz, bobj, it + 1, bpres, bdres, brelgap)
     return SocpResult("indeterminate", x / tau, s / tau, z / tau, float(c @ x) / tau,
                       it + 1, pres, dres, relgap)

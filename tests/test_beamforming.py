@@ -3,6 +3,7 @@ power minimization, and the optimality properties the schemes rely on."""
 
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,35 @@ class TestSolvePowerMin:
         ch = random_channels(95, 1, 1, 1)
         with pytest.raises(ValueError):
             solve_power_min(ch, AssociationMap.full(1, 1), -1.0, [1.0], 1.0)
+
+    def test_builds_no_margin_template(self, monkeypatch):
+        built = []
+        build = beamforming._BeamProblem._build
+
+        def recorded(self, margin):
+            built.append(margin)
+            return build(self, margin)
+
+        monkeypatch.setattr(beamforming._BeamProblem, "_build", recorded)
+        ch = random_channels(96, 3, 2, 2)
+        solve_power_min(ch, AssociationMap.full(2, 3), 0.1, [1.0, 1.0], 1.0)
+        assert built == [False]
+
+
+@pytest.mark.xfail(strict=True, reason="the IPM still stalls on a paper-scale draw "
+                   "with a user 1.3 m from an RRH")
+def test_user_next_to_an_rrh_is_decided():
+    # configs/paper.json with seed 9, trial 0: 1 m guard, nearest user 1.3 m
+    # from an RRH; the probe at 1e-5 of the MRT bound ends indeterminate
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "paper.json")
+    cfg = replace(cfg, seed=9)
+    _, ch = draw_trial(cfg, 0)
+    caps, noise = cfg.power_caps_w(), cfg.noise_power_w()
+    gamma = 1e-5 * mrt_gamma_upper_bound(ch, caps, noise)
+    out = check_feasible(ch, AssociationMap.full(5, 15), gamma, caps, noise,
+                         cfg.tolerances())
+    assert out.status != "indeterminate"
 
 
 def test_tolerances_validation():

@@ -1,0 +1,186 @@
+"""The cone solver's structured Newton solve (block-diagonal tail Gram plus
+low-rank cone-head terms) against a dense G' W^-2 G reference, on the
+beamforming templates and their hard cases."""
+
+import numpy as np
+import pytest
+
+from conftest import desk_instance, random_channels
+from cran_maxmin import socp
+from cran_maxmin.association import nearest_rrh_association
+from cran_maxmin.beamforming import _BeamProblem, solve_max_min
+from cran_maxmin.model import AssociationMap, ChannelState
+
+
+def dense_scaling(scal, power):
+    """Block-diagonal W^2 (power 1) or W^-2 (power -1), built cone by cone
+    from W^2 = eta^2 (2 w w' - J) and W^-2 = eta^-2 (2 Jw w'J - J)."""
+    spec = scal.spec
+    out = np.zeros((spec.m, spec.m))
+    for i, (start, d) in enumerate(zip(spec.heads, spec.dims)):
+        J = -np.eye(d)
+        J[0, 0] = 1.0
+        w = scal.w[start:start + d]
+        if power < 0:
+            w = J @ w
+        out[start:start + d, start:start + d] = \
+            (2.0 * np.outer(w, w) - J) * scal.eta[i] ** (2 * power)
+    return out
+
+
+def dense_newton_matrix(G, scal):
+    return G.T @ dense_scaling(scal, -1) @ G
+
+
+def spread_channels(seed):
+    """Per-link attenuation spread evenly over 0 to 100 dB."""
+    ch = random_channels(seed, 6, 3, 2)
+    loss_db = np.random.default_rng(seed).permutation(np.linspace(0.0, 100.0, 18))
+    return ChannelState(ch.h * 10.0 ** (-loss_db.reshape(6, 3, 1) / 20.0), 1.0)
+
+
+def _fixtures():
+    # at gamma = 0 the SINR tails vanish, every column is its own block and
+    # the cone heads carry all the coupling
+    topo, desk, sigma2 = desk_instance(8)
+    return {
+        "desk8-full": (desk, AssociationMap.full(3, 6), sigma2),
+        "desk8-nearest": (desk, nearest_rrh_association(desk, topo), sigma2),
+        "users-exceed-antennas": (random_channels(3, 7, 2, 2), AssociationMap.full(2, 7), 1.0),
+        "one-antenna": (random_channels(4, 4, 3, 1), AssociationMap.full(3, 4), 1.0),
+        "100dB-spread": (spread_channels(5), AssociationMap.full(3, 6), 1.0),
+    }
+
+
+FIXTURES = _fixtures()
+
+
+def program(name, margin, share):
+    """(c, G, h, spec) of a template at share * the max-min optimum."""
+    ch, assoc, noise = FIXTURES[name]
+    caps = np.ones(ch.n_rrh)
+    gamma = share * solve_max_min(ch, assoc, caps, noise)[0] if share else 0.0
+    prob = _BeamProblem(ch, assoc, caps, noise)
+    G, h, spec = prob._instantiate(prob._build(margin), gamma)
+    c = np.zeros(prob.nx)
+    c[0] = -1.0 if margin else 1.0
+    return c, G, h, spec
+
+
+CASES = [(name, True, share) for name in FIXTURES for share in (0.0, 0.5, 1.0)] + \
+        [(name, False, share) for name in FIXTURES for share in (0.5, 1.0 - 1e-4)]
+
+
+def solve(monkeypatch, newton, c, G, h, spec):
+    with monkeypatch.context() as mp:
+        mp.setattr(socp, "_newton_system", newton)
+        return socp.solve_socp(c, G, h, spec)
+
+
+def dense(G, spec):
+    return socp._DenseNewton(G)
+
+
+def block(G, spec):
+    return socp._BlockNewton(G, spec)
+
+
+def relaxed(res):
+    """Accepted only as the best iterate (default tolerances: abstol < reltol,
+    so the strict gap test reduces to relgap <= reltol)."""
+    return res.status == "optimal" and not (
+        res.pres <= 1e-8 and res.dres <= 1e-8 and res.relgap <= 1e-8)
+
+
+def test_reference_matches_dense_gram(rng):
+    from test_socp import interior_point
+    c, G, h, spec = program("desk8-full", True, 0.5)
+    scal = socp._Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
+    Gtil = scal.apply_w_inv_mat(G)
+    M = dense_newton_matrix(G, scal)
+    np.testing.assert_allclose(M, Gtil.T @ Gtil, rtol=1e-9, atol=1e-9 * np.abs(M).max())
+
+
+def backward_errors(G, scal, bx, bz, dx, dz):
+    """Normwise backward errors of (dx, dz) in G' W^-2 G dx = bx + G' W^-2 bz
+    and W^2 dz = G dx - bz, against the dense references."""
+    M = dense_newton_matrix(G, scal)
+    W2 = dense_scaling(scal, 1)
+    rhs = bx + G.T @ dense_scaling(scal, -1) @ bz
+    ex = np.linalg.norm(M @ dx - rhs) / (
+        np.linalg.norm(M, 2) * np.linalg.norm(dx) + np.linalg.norm(rhs))
+    ez = np.linalg.norm(W2 @ dz - G @ dx + bz) / (
+        np.linalg.norm(W2, 2) * np.linalg.norm(dz) + np.linalg.norm(G @ dx) + np.linalg.norm(bz))
+    return ex, ez
+
+
+@pytest.mark.parametrize("name,margin,share", CASES)
+def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, share):
+    """Every direction of a block-path solve is as exact as the dense path's
+    on the same system: within 10x its backward error, or below 1e-14."""
+    c, G, h, spec = program(name, margin, share)
+    pairs = []
+    solve_block = socp._BlockNewton.solve
+
+    def checked(self, bx, bz):
+        dx, dz = solve_block(self, bx, bz)
+        ref = socp._DenseNewton(G)
+        if ref.factor(self.scal):
+            pairs.append((backward_errors(G, self.scal, bx, bz, dx, dz),
+                          backward_errors(G, self.scal, bx, bz, *ref.solve(bx, bz))))
+        return dx, dz
+
+    monkeypatch.setattr(socp._BlockNewton, "solve", checked)
+    res_block = solve(monkeypatch, block, c, G, h, spec)
+    res_dense = solve(monkeypatch, dense, c, G, h, spec)
+    assert len(pairs) >= 3 * (res_block.iterations - 1)
+    for mine, ref in pairs:
+        assert mine[0] <= max(10.0 * ref[0], 1e-14)
+        assert mine[1] <= max(10.0 * ref[1], 1e-14)
+    assert res_block.status == res_dense.status
+    if res_dense.status == "optimal":
+        assert res_block.obj == pytest.approx(res_dense.obj, rel=1e-6, abs=1e-7)
+
+
+def test_block_path_needs_the_relaxed_rule_no_more_often(monkeypatch):
+    programs = [program(*case) for case in CASES]
+    count = {newton: sum(relaxed(solve(monkeypatch, newton, *p)) for p in programs)
+             for newton in (dense, block)}
+    assert count[block] <= count[dense]
+
+
+@pytest.mark.parametrize("force_block", [False, True])
+@pytest.mark.parametrize("name,share,ends_relaxed", [
+    ("desk8-full", 0.0, True), ("users-exceed-antennas", 0.5, False)])
+def test_iterations_count_every_newton_step(monkeypatch, force_block, name, share,
+                                            ends_relaxed):
+    # whether the solve returns the relaxed best iterate or passes the strict
+    # test, each iteration it ran built one scaling
+    c, G, h, spec = program(name, True, share)
+    built = []
+    scaling = socp._Scaling.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        scaling(self, *args)
+
+    monkeypatch.setattr(socp._Scaling, "__init__", counted)
+    if force_block:
+        monkeypatch.setattr(socp, "_newton_system", block)
+    res = socp.solve_socp(c, G, h, spec)
+    assert res.status == "optimal" and relaxed(res) == ends_relaxed
+    assert res.iterations == len(built)
+
+
+def test_path_follows_problem_size():
+    topo, desk, sigma2 = desk_instance(8)
+    small = _BeamProblem(desk, AssociationMap.full(3, 6), np.ones(3), sigma2)
+    G, _, spec = small._instantiate(small._build(True), 1.0)
+    assert isinstance(socp._newton_system(G, spec), socp._DenseNewton)
+    ch = random_channels(1, 15, 5, 5)  # the paper's 5 x 15 x 5 shape
+    large = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
+    for margin in (True, False):
+        G, _, spec = large._instantiate(large._build(margin), 1.0)
+        newton = socp._newton_system(G, spec)
+        assert isinstance(newton, socp._BlockNewton)
+        assert newton.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
