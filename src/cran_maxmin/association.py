@@ -17,8 +17,9 @@ import numpy as np
 from cran_maxmin.beamforming import (
     SolverIndeterminate,
     SolverTolerances,
-    solve_max_min,
+    max_min_value,
     solve_power_min,
+    tighten_max_min,
 )
 from cran_maxmin.model import (
     AssociationMap,
@@ -49,9 +50,15 @@ class SolveCache:
     Distinct schemes and fronthaul capacities revisit the same associations
     (a common-capacity sweep leaves the removal path capacity-independent),
     so a sweep shares one cache per trial.  Hits return the exact floats of
-    the first computation, which keeps sweeps bit-reproducible.  A max-min
-    that failed is remembered under its exact request (association and hint)
-    and raised again without re-solving; the solve is deterministic.
+    the first computation, which keeps sweeps bit-reproducible.
+
+    The schemes score a candidate association by its value alone, so a
+    max-min is split in two: `value` runs the root-finder and keeps gamma1
+    with the feasibility probe's beamformers, and the power-min that
+    tightens them runs when `max_min` first reads them.  An entry holds
+    beamformers, never a cone template.  A value solve that failed is
+    remembered under its exact request (association and hint) and raised
+    again without re-solving; the solve is deterministic.
     """
 
     def __init__(self, ch: ChannelState, power_cap_w, noise_power_w: float,
@@ -60,25 +67,37 @@ class SolveCache:
         self.power_cap_w = power_cap_w
         self.noise_power_w = noise_power_w
         self.tol = tol
-        self._max_min = {}
+        self._value = {}  # omega -> (gamma1, probe beamformers at gamma1)
+        self._max_min = {}  # omega -> tightened beamformers
         self._power_min = {}
         self._failed = {}  # (omega, hint) -> (message, stats)
 
-    def max_min(self, assoc: AssociationMap, gamma_upper_hint=None):
+    def value(self, assoc: AssociationMap, gamma_upper_hint=None) -> float:
+        """The wireless max-min value gamma1 of assoc; no power-min runs."""
         key = assoc.omega
-        if key not in self._max_min:
+        if key not in self._value:
             failure = self._failed.get((key, gamma_upper_hint))
             if failure is not None:
                 # a fresh exception, so a runner's partial_report stays its own
                 raise SolverIndeterminate(*failure)
             try:
-                self._max_min[key] = solve_max_min(
+                self._value[key] = max_min_value(
                     self.ch, assoc, self.power_cap_w, self.noise_power_w,
                     self.tol, gamma_upper_hint=gamma_upper_hint)
             except SolverIndeterminate as exc:
                 self._failed[(key, gamma_upper_hint)] = (str(exc), exc.stats)
                 raise
-        return self._max_min[key]
+        return self._value[key][0]
+
+    def max_min(self, assoc: AssociationMap, gamma_upper_hint=None):
+        """(gamma1, tightened max-min beamformers), as `solve_max_min`."""
+        gamma1 = self.value(assoc, gamma_upper_hint)
+        key = assoc.omega
+        if key not in self._max_min:
+            self._max_min[key] = tighten_max_min(
+                self.ch, assoc, *self._value[key], self.power_cap_w,
+                self.noise_power_w)
+        return gamma1, self._max_min[key]
 
     def power_min(self, assoc: AssociationMap, gamma: float):
         key = (assoc.omega, gamma)
@@ -94,15 +113,16 @@ class SolveCache:
         is scored by: gamma = min(gamma1, gamma2) of the wireless max-min
         gamma1 and the fronthaul closed form gamma2.  The beamformers come
         from the binding side: the max-min ones when gamma1 <= gamma2,
-        otherwise a power-min at gamma2.
+        otherwise a power-min at gamma2.  They are not solved here:
+        `read()` solves them on its first call, memoized.
 
-        Returns (gamma1, gamma2, gamma, beamformers).
+        Returns (gamma1, gamma2, gamma, read).
         """
-        gamma1, bf1 = self.max_min(assoc, gamma_upper_hint)
+        gamma1 = self.value(assoc, gamma_upper_hint)
         gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
         if gamma1 <= gamma2:
-            return gamma1, gamma2, gamma1, bf1
-        return gamma1, gamma2, gamma2, self.power_min(assoc, gamma2)
+            return gamma1, gamma2, gamma1, lambda: self.max_min(assoc)[1]
+        return gamma1, gamma2, gamma2, lambda: self.power_min(assoc, gamma2)
 
 
 def fronthaul_cap(assoc: AssociationMap, fronthaul_cap_bps: Sequence[float],
@@ -210,12 +230,12 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
         cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     report = SolveReport(scheme_label=label)
     assoc = AssociationMap.full(cfg.n_rrh, cfg.n_users)
-    best_gamma, best_bf = -math.inf, None
+    best_gamma, best_read = -math.inf, None
     hint = None
 
     try:
         for t in range(1, cfg.n_rrh * cfg.n_users + 2):
-            gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg, hint)
+            gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg, hint)
             # removing links never improves the wireless optimum, so the
             # previous value (with tolerance headroom) bounds this one
             hint = gamma1 * (1.0 + 10.0 * tol.bisection_rel_tol)
@@ -223,7 +243,7 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
                                   assoc.sizes())
             report.iterations.append(rec)
             if gamma_t >= best_gamma:
-                best_gamma, best_bf = gamma_t, bf_t
+                best_gamma, best_read = gamma_t, read_t
 
             if gamma1 <= gamma2:
                 break
@@ -231,20 +251,21 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
             phi = candidate_links(psi, assoc, last_link_guard)
             if not phi:
                 break
-            _, bf1 = cache.max_min(assoc)  # solved by evaluate: a hit
+            # the value is a hit; the tightening power-min runs on first read
+            _, bf1 = cache.max_min(assoc)
             if selector == "residual":
                 choice = select_removal(ch, bf1, phi, cfg.noise_power_w)
             else:
                 choice = benchmark1_select(ch, bf1, phi)
             rec.removed_user, rec.removed_rrh = choice.user, choice.rrh
             assoc = assoc.remove_link(choice.user, choice.rrh)
+        best_bf = best_read()  # the first iteration always sets it
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
 
     report.final_gamma = max(best_gamma, 0.0)
-    report.final_beamformers = best_bf if best_bf is not None else \
-        BeamformerSet.zeros(cfg.n_users, cfg.n_rrh, cfg.n_antennas)
+    report.final_beamformers = best_bf
     report.final_association = _final_association(report.final_beamformers, cfg)
     return report
 
@@ -278,12 +299,12 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     assoc = nearest_rrh_association(ch, topology)
     norms = np.linalg.norm(ch.h, axis=2) ** 2
 
-    best = None  # (gamma, bf)
+    best = None  # (gamma, read)
     prev_gamma = -math.inf
     activated: Optional[LinkChoice] = None
     try:
         for t in range(1, cfg.n_rrh * cfg.n_users + 2):
-            gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg)
+            gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg)
             report.iterations.append(IterationRecord(
                 t, gamma1, gamma2, gamma_t,
                 activated.user if activated else None,
@@ -291,7 +312,7 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
                 assoc.sizes()))
             if gamma_t < prev_gamma * (1.0 - 2.0 * tol.bisection_rel_tol):
                 break
-            best = (gamma_t, bf_t)
+            best = (gamma_t, read_t)
             prev_gamma = gamma_t
             inactive = {(k, n): norms[k, n]
                         for k in range(cfg.n_users) for n in range(cfg.n_rrh)
@@ -302,11 +323,12 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
             omega = list(assoc.omega)
             omega[activated.rrh] = omega[activated.rrh] | {activated.user}
             assoc = AssociationMap(tuple(omega))
+        gamma, read = best
+        bf = read()
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
 
-    gamma, bf = best
     report.final_gamma = gamma
     report.final_beamformers = bf
     report.final_association = _final_association(bf, cfg)
@@ -323,12 +345,13 @@ def run_benchmark3(ch: ChannelState, cfg: NetworkConfig,
         cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     assoc = nearest_rrh_association(ch, topology)
     try:
-        gamma1, gamma2, gamma_t, bf_t = cache.evaluate(assoc, cfg)
+        gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg)
+        report.iterations.append(IterationRecord(1, gamma1, gamma2, gamma_t,
+                                                 None, None, assoc.sizes()))
+        bf_t = read_t()
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
-    report.iterations.append(IterationRecord(1, gamma1, gamma2, gamma_t,
-                                             None, None, assoc.sizes()))
     report.final_gamma = gamma_t
     report.final_beamformers = bf_t
     report.final_association = _final_association(bf_t, cfg)

@@ -12,7 +12,9 @@ slack s subject to every cone constraint holding with margin s; the query is
 feasible iff the optimal margin clears -cone_feas_tol.  This always leaves a
 strictly feasible, bounded program, so the interior-point engine never has
 to certify infeasibility on a knife edge.  The max-min search root-finds
-on the margin's value, not just its sign.
+on the margin's value, not just its sign.  Its value and the power-min
+that tightens its beamformers are separate steps, so a caller that needs
+only the value pays for no power-min.
 
 Channels are normalized by the noise amplitude before building the cones
 (SINRs are invariant under h -> h/sigma, sigma -> 1), which keeps every
@@ -279,7 +281,7 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances)
     a row, the stale end's f is halved.  The estimate r is probed at
     r(1 + 0.45 tol) after a feasible probe and at r(1 - 0.45 tol) after an
     infeasible one, so a probe on the root still closes the bracket and lo
-    ends about tol/2 below the boundary, where the trailing power-min is
+    ends about tol/2 below the boundary, where the tightening power-min is
     well posed.  A step that leaves the bracket falls back to its midpoint.
     """
     lo, hi = 0.0, gamma_ub
@@ -317,19 +319,19 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances)
     return lo, bf_lo
 
 
-def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
+def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
                   noise_power_w: float,
                   tol: SolverTolerances = SolverTolerances(),
                   gamma_upper_hint: Optional[float] = None):
-    """Largest common SINR achievable over the wireless links.
+    """The value of the max-min: the largest common SINR achievable over the
+    wireless links.
 
     A bracketed root-finder on the probe margin (see `_max_min_bracket`)
     narrows [lo, hi] from [0, upper bound] until hi - lo <=
     bisection_rel_tol * lo; tol.max_bisection_iters caps its probes.
-    Returns (lo, beamformers).  The beamformers are tightened by a
-    power-minimization solve at lo so every user sits exactly at the common
-    SINR; if that solve fails at lo and at lo (1 - 1e-6), the probe's
-    beamformers at lo are returned and a WARNING is logged.
+    Returns (lo, the feasibility probe's beamformers at lo), zero
+    beamformers when lo is 0.  No power-min runs and no template outlives
+    the call.
 
     gamma_upper_hint, when given, must be a valid upper bound on the optimum
     (e.g. the value at a superset association); it shrinks the initial
@@ -348,18 +350,47 @@ def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
     lo, bf_lo = _max_min_bracket(prob, gamma_ub, tol)
     if lo == 0.0:
         return 0.0, zeros
+    return lo, bf_lo
+
+
+def tighten_max_min(ch: ChannelState, assoc: AssociationMap, gamma: float,
+                    probe_bf: BeamformerSet, power_cap_w,
+                    noise_power_w: float) -> BeamformerSet:
+    """The max-min beamformers at value gamma, from `max_min_value`'s
+    (gamma, probe_bf): a power-minimization solve at gamma, so every user
+    sits exactly at the common SINR.  If that solve fails at gamma and at
+    gamma (1 - 1e-6), probe_bf is returned and a WARNING is logged.  Only
+    the power template is built.
+    """
+    if gamma == 0.0:
+        return probe_bf
+    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     statuses = []
-    for target in (lo, lo * (1.0 - 1e-6)):
+    for target in (gamma, gamma * (1.0 - 1e-6)):
         try:
-            return lo, prob.solve_power_min(target)
+            return prob.solve_power_min(target)
         except ValueError:
             statuses.append("primal_infeasible")
         except SolverIndeterminate as exc:
             statuses.append(exc.stats.status)
     _log.warning("power-min at gamma=%r failed (%s), association %s: "
                  "keeping the feasibility probe's beamformers",
-                 lo, ", ".join(statuses), [sorted(s) for s in assoc.omega])
-    return lo, bf_lo
+                 gamma, ", ".join(statuses), [sorted(s) for s in assoc.omega])
+    return probe_bf
+
+
+def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
+                  noise_power_w: float,
+                  tol: SolverTolerances = SolverTolerances(),
+                  gamma_upper_hint: Optional[float] = None):
+    """Largest common SINR achievable over the wireless links, with
+    tightened beamformers: the value of `max_min_value`, then
+    `tighten_max_min` at that value.  Returns (gamma, beamformers).
+    """
+    gamma, probe_bf = max_min_value(ch, assoc, power_cap_w, noise_power_w, tol,
+                                    gamma_upper_hint)
+    return gamma, tighten_max_min(ch, assoc, gamma, probe_bf, power_cap_w,
+                                  noise_power_w)
 
 
 def solve_power_min(ch: ChannelState, assoc: AssociationMap, gamma_target: float,

@@ -3,7 +3,9 @@
 Enumerates every user-RRH association (2^(N*K) of them), scores each fixed
 association with the min(wireless, fronthaul) combination rule of
 `SolveCache.evaluate`, and keeps the best.  Deliberately transparent: no
-pruning beyond skipping maps that leave a user unserved.
+pruning beyond skipping maps that leave a user unserved.  The search reads
+values only, so it runs no power-min solve; `solve_fixed_association`
+solves the beamformers of the one association it is asked about.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ def solve_fixed_association(ch: ChannelState, assoc: AssociationMap,
     wireless max-min value and the fronthaul closed form, with beamformers
     from the binding side."""
     cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
-    _, _, gamma, bf = cache.evaluate(assoc, cfg)
-    return gamma, bf
+    _, _, gamma, read = cache.evaluate(assoc, cfg)
+    return gamma, read()
 
 
 def _mask_to_association(mask: int, n_users: int, n_rrh: int) -> AssociationMap:
@@ -53,7 +55,7 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
             f"oracle refuses N*K = {links} > {MAX_ORACLE_LINKS} links")
     cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     # the full association bounds every subset's wireless optimum
-    full_gamma, _ = cache.max_min(AssociationMap.full(cfg.n_rrh, cfg.n_users))
+    full_gamma = cache.value(AssociationMap.full(cfg.n_rrh, cfg.n_users))
     hint = full_gamma * (1.0 + 10.0 * tol.bisection_rel_tol)
     best_gamma, best_assoc = -1.0, None
     for mask in range(1 << links):

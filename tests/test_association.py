@@ -1,13 +1,15 @@
 """Selection criteria, the closed-form fronthaul optimum, and the four
 scheme runners with their trace-level properties."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
-from cran_maxmin import association
+from cran_maxmin import association, beamforming
 from cran_maxmin.association import (
     SolveCache,
     benchmark1_select,
@@ -348,7 +350,7 @@ class TestBenchmark2:
         class StubCache:
             def evaluate(self, assoc, cfg, gamma_upper_hint=None):
                 g = next(gammas)
-                return g, math.inf, g, BeamformerSet.zeros(3, 2, 2)
+                return g, math.inf, g, lambda: BeamformerSet.zeros(3, 2, 2)
 
         report = run_benchmark2(ch, cfg, TOL, cache=StubCache())
         assert [r.gamma for r in report.iterations] == \
@@ -417,16 +419,85 @@ class TestSolveCache:
         cache = SolveCache(ch, (1.0, 1.0), 1.0, TOL)
         g1, bf1 = cache.max_min(assoc)
         loose = _netcfg(ch, 1.0, (1e12, 1e12))
-        gamma1, gamma2, gamma, bf = cache.evaluate(assoc, loose)
-        assert (gamma1, gamma2, gamma) == (g1, math.inf, g1) and bf is bf1
+        gamma1, gamma2, gamma, read = cache.evaluate(assoc, loose)
+        assert (gamma1, gamma2, gamma) == (g1, math.inf, g1) and read() is bf1
         tight = _netcfg(ch, 1.0, (1e6, 1e6))
-        gamma1, gamma2, gamma, bf = cache.evaluate(assoc, tight)
+        gamma1, gamma2, gamma, read = cache.evaluate(assoc, tight)
         assert gamma2 < gamma1 == g1 and gamma == gamma2
-        assert bf is cache.power_min(assoc, gamma2)
+        assert read() is cache.power_min(assoc, gamma2)
+
+
+def _count_power_mins(monkeypatch, fail_at=None):
+    """Record the target of every power-min solve; one at target fail_at
+    stalls instead of solving."""
+    calls = []
+    original = beamforming._BeamProblem.solve_power_min
+
+    def counted(self, gamma):
+        calls.append(gamma)
+        if gamma == fail_at:
+            raise SolverIndeterminate("power-min stalled",
+                                      SolverStats("stalled", 24, None, 1e-5, 0.0))
+        return original(self, gamma)
+
+    monkeypatch.setattr(beamforming._BeamProblem, "solve_power_min", counted)
+    return calls
+
+
+class TestDeferredBeamformers:
+    """Values are solved when scored, beamformers only when read."""
+
+    @staticmethod
+    def _binding(seed=3):
+        _, ch, sigma2 = desk_instance(seed)
+        return ch, _netcfg(ch, sigma2, (2e6,) * 3)
+
+    def test_bench3_solves_one_power_min(self, monkeypatch):
+        ch, cfg = self._binding()
+        calls = _count_power_mins(monkeypatch)
+        report = run_benchmark3(ch, cfg, TOL)
+        [rec] = report.iterations
+        assert rec.gamma2 < rec.gamma1
+        # the fronthaul side's power-min only; the max-min is not tightened
+        assert calls == [rec.gamma2]
+
+    def test_value_solve_keeps_no_template(self, monkeypatch):
+        problems = []
+        init = beamforming._BeamProblem.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            problems.append(weakref.ref(self))
+
+        monkeypatch.setattr(beamforming._BeamProblem, "__init__", recorded)
+        ch, cfg = self._binding()
+        cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, TOL)
+        assoc = nearest_rrh_association(ch)
+        _, _, _, read = cache.evaluate(assoc, cfg)
+        gc.collect()
+        assert len(problems) == 1 and problems[0]() is None
+        read()
+        gc.collect()
+        assert len(problems) == 2 and all(p() is None for p in problems)
+
+    @pytest.mark.parametrize("runner", [run_algorithm1, run_benchmark3])
+    def test_failed_read_keeps_partial_report(self, runner, monkeypatch):
+        ch, cfg = self._binding()
+        clean = runner(ch, cfg, TOL)
+        best = max(clean.iterations, key=lambda r: r.gamma)
+        assert best.gamma2 < best.gamma1  # the answer is a power-min at gamma2
+        calls = _count_power_mins(monkeypatch, fail_at=best.gamma2)
+        with pytest.raises(SolverIndeterminate) as err:
+            runner(ch, cfg, TOL)
+        report = err.value.partial_report
+        assert calls[-1] == best.gamma2  # the final read, after every record
+        assert report is not None and report.scheme_label == clean.scheme_label
+        assert [(r.gamma1, r.gamma2, r.gamma) for r in report.iterations] == \
+            [(r.gamma1, r.gamma2, r.gamma) for r in clean.iterations]
 
 
 class TestSolveCacheFailures:
-    """A failed max-min is remembered under its exact request."""
+    """A failed max-min value is remembered under its exact request."""
 
     @staticmethod
     def _failing_solve(monkeypatch):
@@ -437,7 +508,7 @@ class TestSolveCacheFailures:
             raise SolverIndeterminate("probe stalled",
                                       SolverStats("stalled", 19, None, 4.56e-6, 0.0))
 
-        monkeypatch.setattr(association, "solve_max_min", solve)
+        monkeypatch.setattr(association, "max_min_value", solve)
         return calls
 
     def test_repeat_request_is_not_re_solved(self, monkeypatch):

@@ -100,9 +100,9 @@ class TestExhaustiveBest:
 
     def test_each_association_solved_once(self, monkeypatch):
         # 2 RRHs x 3 users: 3^3 = 27 associations serve every user, the full
-        # one included, so 27 max-min solves and no second one for the bound
+        # one included, so 27 max-min values and no second one for the bound
         calls = []
-        original = beamforming.solve_max_min
+        original = beamforming.max_min_value
 
         def counting(*args, **kwargs):
             calls.append(args[1].omega)
@@ -110,9 +110,24 @@ class TestExhaustiveBest:
 
         for name, module in list(sys.modules.items()):
             if name.startswith("cran_maxmin") and \
-                    getattr(module, "solve_max_min", None) is original:
-                monkeypatch.setattr(module, "solve_max_min", counting)
+                    getattr(module, "max_min_value", None) is original:
+                monkeypatch.setattr(module, "max_min_value", counting)
         _, ch, sigma2 = desk_instance(5, n_rrh=2, n_users=3)
         exhaustive_best(ch, _netcfg(ch, sigma2, (8e6, 8e6)), TOL)
         assert len(calls) == 27
         assert len(set(calls)) == 27
+
+    def test_search_solves_no_power_min(self, monkeypatch):
+        # the search compares values only, so no association's beamformers
+        # are tightened and no binding side's power-min runs
+        calls = []
+        original = beamforming._BeamProblem.solve_power_min
+
+        def counting(self, gamma):
+            calls.append(gamma)
+            return original(self, gamma)
+
+        monkeypatch.setattr(beamforming._BeamProblem, "solve_power_min", counting)
+        _, ch, sigma2 = desk_instance(5, n_rrh=2, n_users=3)
+        exhaustive_best(ch, _netcfg(ch, sigma2, (8e6, 8e6)), TOL)
+        assert calls == []
