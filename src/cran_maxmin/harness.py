@@ -11,6 +11,7 @@ follow the raw rows.  With timing disabled (the default) identical
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import time
@@ -30,6 +31,8 @@ from cran_maxmin.channels import GenConfig, generate_channels, generate_topology
 from cran_maxmin.model import NetworkConfig
 
 WORKERS_ENV_VAR = "CRAN_MAXMIN_WORKERS"
+
+_log = logging.getLogger(__name__)
 
 # The scheme registry: the only list of schemes.  The lambdas look the
 # runners up by module-level name at call time, so a patched or wrapped
@@ -188,6 +191,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
                 status = "ok"
             except SolverIndeterminate:
                 gamma, iters, status = math.nan, 0, "indeterminate"
+            except Exception as exc:  # one broken run must not lose the sweep
+                _log.exception("trial %d at %r b/s, scheme %s: %r", trial, t_bps, scheme, exc)
+                gamma, iters, status = math.nan, 0, "error"
             elapsed_ms = 1e3 * (time.perf_counter() - start)
             rows.append({
                 "fronthaul_bps": t_bps,

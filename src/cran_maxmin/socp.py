@@ -20,6 +20,10 @@ programs under `_BLOCK_MIN_COLS` variables form it from W^-1 G and factor it
 whole; larger ones whose tail rows split the columns into small blocks (the
 beamforming templates: one block per user) solve it as a block-diagonal
 matrix plus low-rank cone-head terms, on a sparse G, without forming it.
+
+The per-iteration cone kernels are written as few numpy calls: W^-1 applies
+V(Jw) = V(w)^-1 through the same code as W, and `ConeSpec.max_step` takes s
+and z (and their directions) stacked as rows, so one call bounds the step.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 _STEP = 0.99
 _MIN_STEP = 1e-13
@@ -63,9 +67,10 @@ class ConeSpec:
         return np.add.reduceat(u * v, self.heads)
 
     def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-block hyperbolic products u0*v0 - u_'v_."""
+        """Per-block hyperbolic products u0*v0 - u_'v_, row by row if u and
+        v hold several vectors as rows."""
         prod = u * v
-        return 2.0 * prod[self.heads] - np.add.reduceat(prod, self.heads)
+        return 2.0 * prod[..., self.heads] - np.add.reduceat(prod, self.heads, axis=-1)
 
     def interior(self, u: np.ndarray) -> bool:
         return bool((u[self.heads] > 0).all() and (self.jdot(u, u) > 0).all())
@@ -86,33 +91,23 @@ class ConeSpec:
         return out
 
     def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
-        """Largest alpha >= 0 with u + alpha*d in K, for u interior."""
-        a = self.jdot(d, d)
-        b = self.jdot(u, d)
-        c0 = self.jdot(u, u)
-        alpha = np.full(self.nblocks, np.inf)
-        neg = a < 0.0
-        if neg.any():
-            disc = b[neg] * b[neg] - a[neg] * c0[neg]
-            alpha[neg] = (-b[neg] - np.sqrt(disc)) / a[neg]
-        pos = (a > 0.0) & (b < 0.0)
-        if pos.any():
-            disc = b[pos] * b[pos] - a[pos] * c0[pos]
-            ok = disc >= 0.0
-            root = np.full(int(pos.sum()), np.inf)
-            root[ok] = c0[pos][ok] / (-b[pos][ok] + np.sqrt(disc[ok]))
-            alpha[pos] = root
-        lin = (a == 0.0) & (b < 0.0)
-        if lin.any():
-            alpha[lin] = -c0[lin] / (2.0 * b[lin])
-        # apex exits (head sign flip while the hyperbolic form only grazes
-        # zero) are invisible to the quadratic; the head crossing is always
-        # a valid upper bound on the feasible interval
-        u0 = u[self.heads]
-        d0 = d[self.heads]
-        drop = d0 < 0.0
-        if drop.any():
-            alpha[drop] = np.minimum(alpha[drop], -u0[drop] / d0[drop])
+        """Largest alpha >= 0 with u + alpha*d in K, for u interior.  u and d
+        may hold several points and their directions as rows; the step is
+        then the largest that keeps every row in K."""
+        a, b, c0 = self.jdot(np.array((d, u, u)), np.array((d, d, u)))
+        u0, d0 = u[..., self.heads], d[..., self.heads]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = b * b - a * c0
+            sq = np.sqrt(disc)
+            # a > 0: the nearer root if real; a == 0: the linear crossing
+            root = np.where(a > 0.0, np.where(disc >= 0.0, c0 / (-b + sq), np.inf),
+                            -c0 / (2.0 * b))
+            alpha = np.where(a < 0.0, (-b - sq) / a,
+                             np.where((a >= 0.0) & (b < 0.0), root, np.inf))
+            # apex exits (head sign flip while the hyperbolic form only grazes
+            # zero) are invisible to the quadratic; the head crossing is
+            # always a valid upper bound on the feasible interval
+            alpha = np.where(d0 < 0.0, np.minimum(alpha, -u0 / d0), alpha)
         return float(alpha.min())
 
 
@@ -121,10 +116,12 @@ class _Scaling:
 
     Per block W = eta * V(w) with w'Jw = 1 and V(w) the symmetric
     J-orthogonal factor (V(w)^2 = 2ww' - J), so that
-    lambda = W z = W^-1 s.
+    lambda = W z = W^-1 s.  The inverse is V(w)^-1 = J V(w) J = V(Jw), and
+    V(Jw) u forms the same products in the same order as J V(w) J u, so
+    W^-1 is applied as V(Jw) / eta with bit-identical results.
     """
 
-    __slots__ = ("spec", "w", "w0", "eta", "lam")
+    __slots__ = ("spec", "w", "jw", "w0", "w0p1", "eta", "eta_b", "lam")
 
     def __init__(self, spec: ConeSpec, s: np.ndarray, z: np.ndarray):
         self.spec = spec
@@ -140,45 +137,35 @@ class _Scaling:
         jz[heads] = zbar[heads]
         self.w = (sbar + jz) / (2.0 * gamma)[bid]
         self.w0 = self.w[heads]
+        self.jw = -self.w
+        self.jw[heads] = self.w0
+        self.w0p1 = 1.0 + self.w0
         self.eta = (rho_s / rho_z) ** 0.25
+        self.eta_b = self.eta[bid]
         self.lam = self.apply_w(z)
 
-    # -- V(w) applications ------------------------------------------------
-    def _v(self, u: np.ndarray) -> np.ndarray:
-        spec, w, w0 = self.spec, self.w, self.w0
-        heads, bid = spec.heads, spec.block_ids
-        u0 = u[heads]
-        q = spec.dot(w, u) - w0 * u0
-        out = u + w * (u0 + q / (1.0 + w0))[bid]
-        out[heads] = w0 * u0 + q
-        return out
-
-    def _v_inv(self, u: np.ndarray) -> np.ndarray:
+    def _v(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """V(w) u, with w one of self.w and self.jw; a matrix u is
+        transformed column by column."""
         heads = self.spec.heads
-        ju = -u
-        ju[heads] = u[heads]
-        out = -self._v(ju)
-        out[heads] = -out[heads]
+        w0, w0p1 = self.w0, self.w0p1
+        if u.ndim == 2:
+            w, w0, w0p1 = w[:, None], w0[:, None], w0p1[:, None]
+        u0 = u[heads]
+        wu0 = w0 * u0
+        q = np.add.reduceat(w * u, heads, axis=0) - wu0
+        out = u + w * (u0 + q / w0p1)[self.spec.block_ids]
+        out[heads] = wu0 + q
         return out
 
     def apply_w(self, u: np.ndarray) -> np.ndarray:
-        return self._v(u) * self.eta[self.spec.block_ids]
+        return self._v(self.w, u) * self.eta_b
 
     def apply_w_inv(self, u: np.ndarray) -> np.ndarray:
-        return self._v_inv(u) / self.eta[self.spec.block_ids]
+        return self._v(self.jw, u) / self.eta_b
 
     def apply_w_inv_mat(self, B: np.ndarray) -> np.ndarray:
-        spec, w, w0 = self.spec, self.w, self.w0
-        heads, bid = spec.heads, spec.block_ids
-        JB = -B
-        JB[heads] = B[heads]
-        U0 = JB[heads]
-        Q = np.add.reduceat(w[:, None] * JB, heads, axis=0) - w0[:, None] * U0
-        out = JB + w[:, None] * (U0 + Q / (1.0 + w0)[:, None])[bid]
-        out[heads] = w0[:, None] * U0 + Q
-        out = -out
-        out[heads] = -out[heads]
-        return out / self.eta[bid, None]
+        return self._v(self.jw, B) / self.eta_b[:, None]
 
 
 # Programs with fewer variables than this factor G' W^-2 G whole: below it
@@ -192,11 +179,20 @@ def _jittered(factor, A: np.ndarray):
     jitter = 0.0
     for _ in range(3):
         try:
-            return factor(A + jitter * np.eye(A.shape[-1]))
+            return factor(A + jitter * np.eye(A.shape[-1]) if jitter else A)
         except LinAlgError:
             jitter = max(10.0 * jitter,
                          1e-12 * float(np.diagonal(A, axis1=-2, axis2=-1).max()))
     return None
+
+
+def _potrf(A: np.ndarray) -> np.ndarray:
+    """LAPACK's lower Cholesky factor of A, as cho_factor returns it, without
+    scipy's per-call checks."""
+    L, info = dpotrf(A, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"leading minor {info} is not positive definite")
+    return L
 
 
 class _DenseNewton:
@@ -209,14 +205,13 @@ class _DenseNewton:
     def factor(self, scal: _Scaling) -> bool:
         self.scal = scal
         self.Gtil = scal.apply_w_inv_mat(self.G)
-        self.cho = _jittered(lambda A: cho_factor(A, lower=True, check_finite=False),
-                             self.Gtil.T @ self.Gtil)
-        return self.cho is not None
+        self.L = _jittered(_potrf, self.Gtil.T @ self.Gtil)
+        return self.L is not None
 
     def solve(self, bx: np.ndarray, bz: np.ndarray):
         """(dx, dz) with G' W^-2 G dx = bx + G' W^-2 bz, dz = W^-2 (G dx - bz)."""
         bbz = self.scal.apply_w_inv(bz)
-        dx = cho_solve(self.cho, bx + self.Gtil.T @ bbz, check_finite=False)
+        dx = dpotrs(self.L, bx + self.Gtil.T @ bbz, lower=1, overwrite_b=1)[0]
         dz = self.scal.apply_w_inv(self.Gtil @ dx - bbz)
         return dx, dz
 
@@ -292,8 +287,6 @@ class _BlockNewton:
         spec, n = self.spec, self.n
         self.scal = scal
         einv = 1.0 / scal.eta
-        jw = -scal.w
-        jw[spec.heads] = scal.w0
         Rs = self.R * einv[self.rcone][:, :, None]
         D = np.matmul(Rs.transpose(0, 2, 1), Rs) + self.pad
         L = _jittered(np.linalg.cholesky, D)
@@ -305,7 +298,7 @@ class _BlockNewton:
 
         nc = spec.nblocks
         E = np.zeros((spec.m, nc))
-        E[np.arange(spec.m), spec.block_ids] = jw * einv[spec.block_ids]
+        E[np.arange(spec.m), spec.block_ids] = scal.jw * einv[spec.block_ids]
         V = np.zeros((n + 1, 2 * nc + len(self.free)))
         V[:n, :nc] = self.GT @ E       # eta^-1 u per cone
         V[:n, nc:2 * nc] = self.H * einv  # eta^-1 g per cone
@@ -419,8 +412,8 @@ def solve_socp(
 
     newton = _newton_system(G, spec)
     x = np.zeros(n)
-    s = spec.identity()
-    z = spec.identity()
+    sz = np.array((spec.identity(), spec.identity()))
+    s, z = sz  # views: a step on sz moves both
     tau, kappa = 1.0, 1.0
     normc = max(1.0, float(np.linalg.norm(c)))
     normh = max(1.0, float(np.linalg.norm(h)))
@@ -489,28 +482,29 @@ def solve_socp(
             dz = z2 + dtau * z1
             wdz = scal.apply_w(dz)
             ds_scaled = vs - wdz  # equals W^-1 (Delta s)
-            dsv = scal.apply_w(ds_scaled)
+            dsz = np.array((scal.apply_w(ds_scaled), dz))
             dkappa = (dtk - kappa * dtau) / tau
-            return dx, dz, dsv, dtau, dkappa, wdz, ds_scaled
+            return dx, dsz, dtau, dkappa, wdz, ds_scaled
 
         # predictor
-        dxa, dza, dsa, dtaua, dkappaa, wdza, dssca = direction(-lamlam, -tau * kappa, 1.0)
-        alpha = min(spec.max_step(s, dsa), spec.max_step(z, dza))
+        _, dsza, dtaua, dkappaa, wdza, dssca = direction(-lamlam, -tau * kappa, 1.0)
+        alpha = spec.max_step(sz, dsza)
         if dtaua < 0.0:
             alpha = min(alpha, -tau / dtaua)
         if dkappaa < 0.0:
             alpha = min(alpha, -kappa / dkappaa)
         alpha = min(1.0, alpha)
-        mu_aff = (float((s + alpha * dsa) @ (z + alpha * dza))
+        s_aff, z_aff = sz + alpha * dsza
+        mu_aff = (float(s_aff @ z_aff)
                   + (tau + alpha * dtaua) * (kappa + alpha * dkappaa)) / (spec.deg + 1)
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
         # corrector
         ds = -lamlam - spec.jprod(dssca, wdza) + sigma * mu * e
         dtk = -tau * kappa - dtaua * dkappaa + sigma * mu
-        dx, dz, dsv, dtau, dkappa, _, _ = direction(ds, dtk, 1.0 - sigma)
+        dx, dsz, dtau, dkappa, _, _ = direction(ds, dtk, 1.0 - sigma)
 
-        alpha = min(spec.max_step(s, dsv), spec.max_step(z, dz))
+        alpha = spec.max_step(sz, dsz)
         if dtau < 0.0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0.0:
@@ -520,8 +514,7 @@ def solve_socp(
             break
 
         x += alpha * dx
-        z += alpha * dz
-        s += alpha * dsv
+        sz += alpha * dsz
         tau += alpha * dtau
         kappa += alpha * dkappa
 

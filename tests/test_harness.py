@@ -130,6 +130,40 @@ class TestRunSweep:
         assert _rows_equal(rows, rows2)
 
 
+def test_failing_run_is_an_error_row(sweep_result, monkeypatch, caplog):
+    # a run that raises something other than SolverIndeterminate costs only
+    # its own row; the rest of the sweep is as if nothing had failed
+    from cran_maxmin import harness
+    cfg, (rows, _) = sweep_result
+    real = harness.run_benchmark3
+    calls = []
+
+    def flaky(ch, netcfg, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # trial 0 at the second capacity
+            raise ZeroDivisionError("injected")
+        return real(ch, netcfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_benchmark3", flaky)
+    with caplog.at_level("ERROR", logger="cran_maxmin.harness"):
+        rows2, aggregates = run_sweep(cfg, workers=1)
+    broken = [i for i, r in enumerate(rows2) if r["status"] != "ok"]
+    assert len(broken) == 1
+    row = rows2[broken[0]]
+    assert (row["trial"], row["fronthaul_bps"], row["scheme"], row["status"]) == \
+        (0, cfg.fronthaul_sweep_bps[1], "bench3", "error")
+    assert math.isnan(row["gamma_linear"]) and row["iterations"] == 0
+    others = [r for i, r in enumerate(rows) if i != broken[0]]
+    assert _rows_equal(others, rows2[:broken[0]] + rows2[broken[0] + 1:])
+    [record] = caplog.records
+    assert record.levelname == "ERROR"
+    for part in ("trial 0", repr(cfg.fronthaul_sweep_bps[1]), "bench3", "injected"):
+        assert part in record.getMessage()
+    failed = [a["status"] for a in aggregates
+              if (a["fronthaul_bps"], a["scheme"]) == (cfg.fronthaul_sweep_bps[1], "bench3")]
+    assert failed == ["mean_of_1_failed_1"]
+
+
 def _rows_equal(a, b, skip_runtime=True):
     if len(a) != len(b):
         return False

@@ -184,3 +184,45 @@ def test_path_follows_problem_size():
         newton = socp._newton_system(G, spec)
         assert isinstance(newton, socp._BlockNewton)
         assert newton.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
+
+
+# PSD with an exactly zero second pivot, and indefinite
+SINGULAR = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+INDEFINITE = np.diag([1.0, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("factor", [socp._potrf, np.linalg.cholesky],
+                         ids=["dense-dpotrf", "block-cholesky"])
+def test_singular_newton_matrix_factors_at_the_first_jitter(factor):
+    with pytest.raises(np.linalg.LinAlgError):
+        factor(SINGULAR)
+    jitter = 1e-12 * 2.0  # times the largest diagonal entry
+    assert np.array_equal(socp._jittered(factor, SINGULAR),
+                          factor(SINGULAR + jitter * np.eye(3)))
+
+
+def test_block_batch_jitter_follows_the_largest_diagonal_entry():
+    batch = np.array([4.0 * np.eye(3), SINGULAR])
+    assert np.array_equal(socp._jittered(np.linalg.cholesky, batch),
+                          np.linalg.cholesky(batch + 1e-12 * 4.0 * np.eye(3)))
+
+
+@pytest.mark.parametrize("factor", [socp._potrf, np.linalg.cholesky],
+                         ids=["dense-dpotrf", "block-cholesky"])
+def test_indefinite_matrix_factors_at_no_jitter(factor):
+    assert socp._jittered(factor, INDEFINITE) is None
+
+
+@pytest.mark.parametrize("newton", [dense, block])
+def test_newton_factor_reports_failure_without_raising(rng, newton):
+    # a scaling whose eta overflowed makes the Newton matrix zero, which no
+    # jitter relative to its (zero) diagonal can make positive definite; at
+    # gamma = 0 every block has one column, so the block path has no padding
+    from test_socp import interior_point
+    c, G, h, spec = program("desk8-full", True, 0.0)
+    scal = socp._Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
+    solver = newton(G, spec)
+    assert solver.factor(scal)
+    scal.eta = np.full(spec.nblocks, np.inf)
+    scal.eta_b = scal.eta[spec.block_ids]
+    assert solver.factor(scal) is False

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
-from cran_maxmin.socp import ConeSpec, _Scaling, solve_socp
+from cran_maxmin.socp import ConeSpec, _DenseNewton, _Scaling, solve_socp
 
 
 def interior_point(rng, spec, scale=1.0):
@@ -101,6 +102,152 @@ class TestMaxStep:
             # rounding in the tangential discriminant shifts the root a hair
             assert a == pytest.approx(expected, rel=1e-6)
             assert a <= expected * (1 + 1e-12)
+
+
+# -- reference kernels: the step bound branch by branch and W^-1 as
+# J V(w) J / eta.  The solver's branch-free, stacked kernels must agree with
+# them bit for bit, which keeps sweep outputs byte-reproducible.
+def ref_max_step(spec, u, d):
+    a = spec.jdot(d, d)
+    b = spec.jdot(u, d)
+    c0 = spec.jdot(u, u)
+    alpha = np.full(spec.nblocks, np.inf)
+    neg = a < 0.0
+    if neg.any():
+        disc = b[neg] * b[neg] - a[neg] * c0[neg]
+        alpha[neg] = (-b[neg] - np.sqrt(disc)) / a[neg]
+    pos = (a > 0.0) & (b < 0.0)
+    if pos.any():
+        disc = b[pos] * b[pos] - a[pos] * c0[pos]
+        ok = disc >= 0.0
+        root = np.full(int(pos.sum()), np.inf)
+        root[ok] = c0[pos][ok] / (-b[pos][ok] + np.sqrt(disc[ok]))
+        alpha[pos] = root
+    lin = (a == 0.0) & (b < 0.0)
+    if lin.any():
+        alpha[lin] = -c0[lin] / (2.0 * b[lin])
+    u0 = u[spec.heads]
+    d0 = d[spec.heads]
+    drop = d0 < 0.0
+    if drop.any():
+        alpha[drop] = np.minimum(alpha[drop], -u0[drop] / d0[drop])
+    return float(alpha.min())
+
+
+def ref_v(sc, u):
+    spec, w, w0 = sc.spec, sc.w, sc.w0
+    heads, bid = spec.heads, spec.block_ids
+    u0 = u[heads]
+    q = spec.dot(w, u) - w0 * u0
+    out = u + w * (u0 + q / (1.0 + w0))[bid]
+    out[heads] = w0 * u0 + q
+    return out
+
+
+def ref_w_inv(sc, u):
+    heads = sc.spec.heads
+    ju = -u
+    ju[heads] = u[heads]
+    out = -ref_v(sc, ju)
+    out[heads] = -out[heads]
+    return out / sc.eta[sc.spec.block_ids]
+
+
+def ref_w_inv_mat(sc, B):
+    spec, w, w0 = sc.spec, sc.w, sc.w0
+    heads, bid = spec.heads, spec.block_ids
+    JB = -B
+    JB[heads] = B[heads]
+    U0 = JB[heads]
+    Q = np.add.reduceat(w[:, None] * JB, heads, axis=0) - w0[:, None] * U0
+    out = JB + w[:, None] * (U0 + Q / (1.0 + w0)[:, None])[bid]
+    out[heads] = w0[:, None] * U0 + Q
+    out = -out
+    out[heads] = -out[heads]
+    return out / sc.eta[bid, None]
+
+
+# dimension-1 cones and cones long enough for the per-block sums to matter
+BIT_SPECS = [ConeSpec([3, 1, 5, 2]), ConeSpec([1, 1, 1]), ConeSpec([1, 13, 1, 31, 4, 2])]
+
+
+def null_direction(rng, spec):
+    """A direction with d'Jd exactly 0 in every cone of dimension > 1: the
+    patterns (5, 3, -4) and (1, +-1) times signed powers of two, so heads of
+    either sign occur and some cones exit through the apex."""
+    d = np.zeros(spec.m)
+    for start, dim in zip(spec.heads, spec.dims):
+        scale = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-3, 4))
+        if dim == 1:
+            d[start] = scale
+        elif dim == 2:
+            d[start:start + 2] = scale, scale * rng.choice([-1.0, 1.0])
+        else:
+            i, j = 1 + rng.permutation(dim - 1)[:2]
+            d[start], d[start + i], d[start + j] = 5.0 * scale, 3.0 * scale, -4.0 * scale
+    return d
+
+
+class TestBitExactKernels:
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_max_step_equals_masked_branches(self, spec, rng):
+        kinds = {"neg": 0, "pos": 0, "lin": 0, "apex": 0}
+        for trial in range(400):
+            u = interior_point(rng, spec, scale=10.0 ** rng.uniform(-4, 4))
+            if trial % 2:
+                d = null_direction(rng, spec)
+            else:
+                d = rng.standard_normal(spec.m) * 10.0 ** rng.uniform(-4, 4)
+            a, b = spec.jdot(d, d), spec.jdot(u, d)
+            kinds["neg"] += int((a < 0).sum())
+            kinds["pos"] += int(((a > 0) & (b < 0)).sum())
+            kinds["lin"] += int(((a == 0) & (b < 0)).sum())
+            kinds["apex"] += int((d[spec.heads] < 0).sum())
+            assert np.array_equal(spec.max_step(u, d), ref_max_step(spec, u, d))
+        # on rays d'Jd = d0^2 is never negative, and zero only with b = 0
+        possible = kinds if max(spec.dims) > 1 else ("pos", "apex")
+        assert all(kinds[k] for k in possible), kinds
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_stacked_rows_take_the_min_over_rows(self, spec, rng):
+        for trial in range(200):
+            s = interior_point(rng, spec)
+            z = interior_point(rng, spec, scale=10.0 ** rng.uniform(-3, 3))
+            ds = null_direction(rng, spec) if trial % 3 == 0 else rng.standard_normal(spec.m)
+            dz = rng.standard_normal(spec.m)
+            stacked = spec.max_step(np.array((s, z)), np.array((ds, dz)))
+            assert stacked == min(ref_max_step(spec, s, ds), ref_max_step(spec, z, dz))
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_w_and_its_inverse_equal_j_v_j(self, spec, rng):
+        for _ in range(100):
+            sc = _Scaling(spec, interior_point(rng, spec, scale=1e-3),
+                          interior_point(rng, spec, scale=1e3))
+            u = rng.standard_normal(spec.m)
+            assert np.array_equal(sc.apply_w(u), ref_v(sc, u) * sc.eta[spec.block_ids])
+            assert np.array_equal(sc.apply_w_inv(u), ref_w_inv(sc, u))
+            # sparse columns, as in the problem templates, and an all-zero one
+            B = rng.standard_normal((spec.m, 6)) * (rng.random((spec.m, 6)) < 0.4)
+            B[:, 0] = 0.0
+            assert np.array_equal(sc.apply_w_inv_mat(B), ref_w_inv_mat(sc, B))
+
+    def test_dense_newton_equals_cho_factor_and_cho_solve(self, rng):
+        spec = BIT_SPECS[2]
+        G = rng.standard_normal((spec.m, 9)) * (rng.random((spec.m, 9)) < 0.5)
+        G[0] = 1.0  # full column rank
+        newton = _DenseNewton(G)
+        for _ in range(20):
+            sc = _Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
+            assert newton.factor(sc)
+            Gtil = ref_w_inv_mat(sc, G)
+            cho = cho_factor(Gtil.T @ Gtil, lower=True, check_finite=False)
+            assert np.array_equal(newton.L, cho[0])
+            bx, bz = rng.standard_normal(9), rng.standard_normal(spec.m)
+            dx, dz = newton.solve(bx, bz)
+            bbz = ref_w_inv(sc, bz)
+            ref_dx = cho_solve(cho, bx + Gtil.T @ bbz, check_finite=False)
+            assert np.array_equal(dx, ref_dx)
+            assert np.array_equal(dz, ref_w_inv(sc, Gtil @ ref_dx - bbz))
 
 
 class TestAnalyticPrograms:
