@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paper-scale sweep: 5 RRHs x 5 antennas, 15 users, 100 channel draws.
 
-Heavy: trial 0 takes 55 to 60 s on one core (one BLAS thread, 2-vCPU
-virtual machine), so 100 trials take more than an hour; pass --threads to
+Heavy: trial 0 takes about 40 s on one core (one BLAS thread, 2-vCPU
+virtual machine), so 100 trials take about an hour; pass --threads to
 spread trials over more workers.
 """
 

@@ -11,8 +11,9 @@ Feasibility is decided through a margin reformulation: maximize the common
 slack s subject to every cone constraint holding with margin s; the query is
 feasible iff the optimal margin clears -cone_feas_tol.  This always leaves a
 strictly feasible, bounded program, so the interior-point engine never has
-to certify infeasibility on a knife edge.  The max-min search root-finds
-on the margin's value, not just its sign.  Its value and the power-min
+to certify infeasibility on a knife edge.  The max-min search takes
+Newton steps on the margin's value, not just its sign, with the slope that
+each probe's optimal dual gives for free.  Its value and the power-min
 that tightens its beamformers are separate steps, so a caller that needs
 only the value pays for no power-min.
 
@@ -48,11 +49,11 @@ class SolverIndeterminate(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """bisection_rel_tol: a max-min search stops once its bracket
-    [lo feasible, hi infeasible] has hi - lo <= bisection_rel_tol * lo.
-    cone_feas_tol: a probe is feasible iff its optimal margin is at least
-    -cone_feas_tol.  max_bisection_iters: at most this many feasibility
-    probes per max-min search."""
+    """bisection_rel_tol: a max-min search (Newton, no longer bisection; the
+    names are config keys) stops once its bracket [lo feasible, hi infeasible]
+    has hi - lo <= bisection_rel_tol * lo.  cone_feas_tol: a probe is feasible
+    iff its optimal margin is at least -cone_feas_tol.  max_bisection_iters:
+    at most this many feasibility probes per max-min search."""
 
     bisection_rel_tol: float = 1e-4
     cone_feas_tol: float = 1e-7
@@ -65,11 +66,16 @@ class SolverTolerances:
 
 @dataclass
 class SolverStats:
+    """One cone solve.  margin is a probe's optimal margin; slope, for an
+    optimal probe at gamma > 0, is its derivative in t = sqrt(gamma), read
+    off the optimal (s, z) by the envelope theorem, and None otherwise."""
+
     status: str
     iterations: int
     margin: Optional[float]
     pres: float
     dres: float
+    slope: Optional[float] = None
 
 
 @dataclass
@@ -226,6 +232,10 @@ class _BeamProblem:
         stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
         if res.status != "optimal":
             return FeasibilityOutcome("indeterminate", None, stats)
+        if gamma > 0.0:
+            # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
+            _, _, tail, noise, _ = self._margin
+            stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
         if margin >= -tol.cone_feas_tol:
             return FeasibilityOutcome("feasible", self.unpack(res.x), stats)
         return FeasibilityOutcome("infeasible", None, stats)
@@ -273,49 +283,35 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances)
     optimum until hi - lo <= bisection_rel_tol * lo, with at most
     max_bisection_iters probes.  Returns (lo, beamformers at lo).
 
-    f = margin + cone_feas_tol is >= 0 exactly at the feasible targets, falls
-    smoothly with gamma and is close to affine in t = sqrt(gamma).  The
-    first probe is at gamma_ub (if feasible, the search ends there) and the
-    second at gamma = 0, which gives f at both ends; each later probe is a regula falsi step in t with the
-    Illinois rule (Dowell & Jarratt 1971): when the same end moves twice in
-    a row, the stale end's f is halved.  The estimate r is probed at
-    r(1 + 0.45 tol) after a feasible probe and at r(1 - 0.45 tol) after an
-    infeasible one, so a probe on the root still closes the bracket and lo
-    ends about tol/2 below the boundary, where the tightening power-min is
-    well posed.  A step that leaves the bracket falls back to its midpoint.
+    f = margin + cone_feas_tol is >= 0 exactly at the feasible targets and
+    falls smoothly in t = sqrt(gamma).  The first probe is at gamma_ub (if
+    feasible, the search ends there); each later one is a Newton step in t
+    from the last probe, with the slope from its dual (`SolverStats`), to a
+    root r probed at r(1 + 0.45 tol) after a feasible probe and r(1 - 0.45
+    tol) after an infeasible one: a probe on the root still closes the
+    bracket, and lo ends about tol/2 below the boundary, where the
+    tightening power-min is well posed.  A step without a negative slope,
+    or one that leaves the bracket, falls back to the midpoint.
     """
-    lo, hi = 0.0, gamma_ub
-    f_lo = f_hi = None
-    bf_lo = None
-    moved = 0  # +1 after a feasible probe, -1 after an infeasible one
+    lo, hi, gamma, bf_lo = 0.0, gamma_ub, gamma_ub, None
     for _ in range(tol.max_bisection_iters):
         if hi - lo <= tol.bisection_rel_tol * lo:
             break
-        if f_hi is None:
-            gamma = hi
-        elif f_lo is None:
-            gamma = 0.0
-        else:
-            t_lo, t_hi = math.sqrt(lo), math.sqrt(hi)
-            t = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
-            gamma = t * t * (1.0 + 0.45 * tol.bisection_rel_tol * moved)
-            if not lo < gamma < hi:
-                gamma = 0.5 * (lo + hi)
         out = prob.probe(gamma, tol)
+        stats = out.solver_stats
         if out.status == "indeterminate":
             raise SolverIndeterminate(
-                f"feasibility probe at gamma={gamma} did not converge", out.solver_stats)
-        f = out.solver_stats.margin + tol.cone_feas_tol
+                f"feasibility probe at gamma={gamma} did not converge", stats)
         if out.status == "feasible":
-            lo, f_lo, bf_lo = gamma, f, out.beamformers
-            if moved > 0:
-                f_hi *= 0.5
-            moved = 1
+            lo, bf_lo, side = gamma, out.beamformers, 1
         else:
-            hi, f_hi = gamma, f
-            if moved < 0:
-                f_lo *= 0.5
-            moved = -1
+            hi, side = gamma, -1
+        # a slope that is not negative makes t NaN, which falls back to the midpoint
+        slope = stats.slope if stats.slope is not None and stats.slope < 0.0 else math.nan
+        t = math.sqrt(gamma) - (stats.margin + tol.cone_feas_tol) / slope
+        gamma = t * t * (1.0 + 0.45 * tol.bisection_rel_tol * side)
+        if not (t > 0.0 and lo < gamma < hi):
+            gamma = 0.5 * (lo + hi)
     return lo, bf_lo
 
 
@@ -326,7 +322,7 @@ def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
     """The value of the max-min: the largest common SINR achievable over the
     wireless links.
 
-    A bracketed root-finder on the probe margin (see `_max_min_bracket`)
+    A safeguarded Newton search on the probe margin (see `_max_min_bracket`)
     narrows [lo, hi] from [0, upper bound] until hi - lo <=
     bisection_rel_tol * lo; tol.max_bisection_iters caps its probes.
     Returns (lo, the feasibility probe's beamformers at lo), zero

@@ -175,11 +175,15 @@ _BLOCK_MIN_COLS = 200
 
 def _jittered(factor, A: np.ndarray):
     """factor(A + jitter I) for the first jitter of 0, 1e-12 and 1e-11 times
-    the largest diagonal entry that factors; None if none does."""
+    the largest diagonal entry that factors; None if none does.  A factor
+    with a non-finite diagonal fails: LAPACK passes NaN through silently."""
     jitter = 0.0
     for _ in range(3):
         try:
-            return factor(A + jitter * np.eye(A.shape[-1]) if jitter else A)
+            L = factor(A + jitter * np.eye(A.shape[-1]) if jitter else A)
+            if not np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all():
+                raise LinAlgError("non-finite factor")
+            return L
         except LinAlgError:
             jitter = max(10.0 * jitter,
                          1e-12 * float(np.diagonal(A, axis1=-2, axis2=-1).max()))

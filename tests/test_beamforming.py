@@ -17,6 +17,7 @@ from cran_maxmin.beamforming import (
     SolverStats,
     SolverTolerances,
     check_feasible,
+    max_min_value,
     mrt_gamma_upper_bound,
     solve_max_min,
     solve_power_min,
@@ -303,6 +304,76 @@ class TestMarginRootFinder:
             assert (compute_all_sinrs(ch, bf, 1.0) >= gamma * (1 - 1e-6)).all()
         else:
             assert np.all(bf.w == 0)
+
+    @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
+    def test_at_most_seven_probes_none_at_zero(self, case, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = case
+        hint = _hint(case)
+        calls = _counting_probes(monkeypatch)
+        max_min_value(ch, assoc, caps, sigma2, TOL, gamma_upper_hint=hint)
+        assert 0 < len(calls) <= 7
+        assert 0.0 not in calls
+
+    def test_total_probes(self, monkeypatch):
+        hints = [_hint(case) for case in ROOT_FINDER_CASES]
+        calls = _counting_probes(monkeypatch)
+        for (_, ch, assoc, caps, sigma2, _), hint in zip(ROOT_FINDER_CASES, hints):
+            max_min_value(ch, assoc, caps, sigma2, TOL, gamma_upper_hint=hint)
+        assert len(calls) <= 65
+
+    @pytest.mark.parametrize("slope", [None, math.nan])
+    @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
+    def test_no_slope_falls_back_to_the_midpoint(self, case, slope, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = case
+        hint = _hint(case)
+        probe = beamforming._BeamProblem.probe
+
+        def slopeless(self, gamma, tol):
+            out = probe(self, gamma, tol)
+            out.solver_stats.slope = slope
+            return out
+
+        monkeypatch.setattr(beamforming._BeamProblem, "probe", slopeless)
+        gamma, _ = max_min_value(ch, assoc, caps, sigma2, TOL, gamma_upper_hint=hint)
+        ref = reference_bisection(ch, assoc, caps, sigma2)
+        assert abs(gamma - ref) <= 2 * TOL.bisection_rel_tol * ref
+
+
+def _slope_cases():
+    """(channels, association, caps, noise power): a desk draw, small enough
+    for the dense Newton path, and a paper-profile draw, on the block path."""
+    _, desk, sigma2 = desk_instance(5)
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "paper.json")
+    _, paper = draw_trial(cfg, 0)
+    return {"desk5-full": (desk, AssociationMap.full(3, 6), (1.0,) * 3, sigma2),
+            "paper-trial0-full": (paper, AssociationMap.full(5, 15),
+                                  cfg.power_caps_w(), cfg.noise_power_w())}
+
+
+class TestProbeSlope:
+    @pytest.mark.parametrize("name", ["desk5-full", "paper-trial0-full"])
+    def test_slope_matches_finite_difference(self, name):
+        ch, assoc, caps, sigma2 = _slope_cases()[name]
+        g_star, _ = max_min_value(ch, assoc, caps, sigma2, TOL)
+        prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
+
+        def margin(t):
+            return prob.probe(t * t, TOL).solver_stats.margin
+
+        for share in (0.5, 1.0, 2.0):
+            t = math.sqrt(share * g_star)
+            slope = prob.probe(t * t, TOL).solver_stats.slope
+            step = 1e-5 * t
+            fd = (margin(t + step) - margin(t - step)) / (2 * step)
+            assert slope == pytest.approx(fd, rel=1e-3)
+
+    def test_no_slope_at_zero_target(self):
+        _, ch, sigma2 = desk_instance(5)
+        prob = beamforming._BeamProblem(ch, AssociationMap.full(3, 6), (1.0,) * 3, sigma2)
+        stats = prob.probe(0.0, TOL).solver_stats
+        assert stats.status == "optimal"
+        assert stats.slope is None
 
 
 class TestPowerMinFallback:

@@ -226,3 +226,19 @@ def test_newton_factor_reports_failure_without_raising(rng, newton):
     scal.eta = np.full(spec.nblocks, np.inf)
     scal.eta_b = scal.eta[spec.block_ids]
     assert solver.factor(scal) is False
+
+
+@pytest.mark.parametrize("factor", [socp._potrf, np.linalg.cholesky],
+                         ids=["dense-dpotrf", "block-cholesky"])
+def test_nan_matrix_does_not_factor(factor):
+    # LAPACK returns a NaN factor for a NaN matrix without reporting an error
+    assert socp._jittered(factor, np.full((3, 3), np.nan)) is None
+
+
+@pytest.mark.parametrize("newton", [dense, block])
+def test_nan_in_h_ends_the_solve_at_once(monkeypatch, newton):
+    c, G, h, spec = program("desk8-full", True, 0.5)
+    h[0] = np.nan
+    res = solve(monkeypatch, newton, c, G, h, spec)
+    assert res.status == "indeterminate"
+    assert res.iterations <= 3
