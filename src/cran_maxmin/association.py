@@ -103,8 +103,7 @@ class SolveCache:
         key = (assoc.omega, gamma)
         if key not in self._power_min:
             self._power_min[key] = solve_power_min(
-                self.ch, assoc, gamma, self.power_cap_w, self.noise_power_w,
-                self.tol)
+                self.ch, assoc, gamma, self.power_cap_w, self.noise_power_w)
         return self._power_min[key]
 
     def evaluate(self, assoc: AssociationMap, cfg: NetworkConfig,
@@ -206,8 +205,13 @@ def benchmark1_select(ch: ChannelState, bf1: BeamformerSet, phi: set) -> LinkCho
 # scheme runners
 # ---------------------------------------------------------------------------
 
-def _final_association(bf: BeamformerSet, cfg: NetworkConfig) -> AssociationMap:
-    return AssociationMap.from_indicator(association_indicator(bf, cfg.power_cap_w))
+def _finish(report: SolveReport, gamma: float, read, cfg: NetworkConfig) -> SolveReport:
+    """A scheme run's answer: gamma, read()'s beamformers, their association."""
+    bf = read()
+    report.final_gamma, report.final_beamformers = gamma, bf
+    report.final_association = AssociationMap.from_indicator(
+        association_indicator(bf, cfg.power_cap_w))
+    return report
 
 
 def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
@@ -259,15 +263,11 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
                 choice = benchmark1_select(ch, bf1, phi)
             rec.removed_user, rec.removed_rrh = choice.user, choice.rrh
             assoc = assoc.remove_link(choice.user, choice.rrh)
-        best_bf = best_read()  # the first iteration always sets it
+        # the first iteration always sets best_read
+        return _finish(report, max(best_gamma, 0.0), best_read, cfg)
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
-
-    report.final_gamma = max(best_gamma, 0.0)
-    report.final_beamformers = best_bf
-    report.final_association = _final_association(report.final_beamformers, cfg)
-    return report
 
 
 def nearest_rrh_association(ch: ChannelState, topology=None) -> AssociationMap:
@@ -323,16 +323,10 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
             omega = list(assoc.omega)
             omega[activated.rrh] = omega[activated.rrh] | {activated.user}
             assoc = AssociationMap(tuple(omega))
-        gamma, read = best
-        bf = read()
+        return _finish(report, *best, cfg)
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
-
-    report.final_gamma = gamma
-    report.final_beamformers = bf
-    report.final_association = _final_association(bf, cfg)
-    return report
 
 
 def run_benchmark3(ch: ChannelState, cfg: NetworkConfig,
@@ -348,11 +342,7 @@ def run_benchmark3(ch: ChannelState, cfg: NetworkConfig,
         gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg)
         report.iterations.append(IterationRecord(1, gamma1, gamma2, gamma_t,
                                                  None, None, assoc.sizes()))
-        bf_t = read_t()
+        return _finish(report, gamma_t, read_t, cfg)
     except SolverIndeterminate as exc:
         exc.partial_report = report
         raise
-    report.final_gamma = gamma_t
-    report.final_beamformers = bf_t
-    report.final_association = _final_association(bf_t, cfg)
-    return report

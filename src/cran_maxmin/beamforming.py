@@ -40,11 +40,11 @@ _log = logging.getLogger(__name__)
 class SolverIndeterminate(RuntimeError):
     """The cone solver stalled before reaching any certificate."""
 
-    def __init__(self, message: str, stats: "SolverStats | None" = None,
-                 partial_report=None):
+    partial_report = None  # a scheme runner's trace so far, set as it re-raises
+
+    def __init__(self, message: str, stats: "SolverStats | None" = None):
         super().__init__(message)
         self.stats = stats
-        self.partial_report = partial_report
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SolverTolerances:
 
     def __post_init__(self):
         if min(self.bisection_rel_tol, self.cone_feas_tol) <= 0 or self.max_bisection_iters <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("bisection_rel_tol, cone_feas_tol, max_bisection_iters: must be > 0")
 
 
 @dataclass
@@ -85,18 +85,6 @@ class FeasibilityOutcome:
     solver_stats: SolverStats
 
 
-def _validate(ch: ChannelState, assoc: AssociationMap, power_cap_w) -> np.ndarray:
-    caps = np.asarray(power_cap_w, dtype=float)
-    if assoc.n_rrh != ch.n_rrh:
-        raise ValueError(f"association has {assoc.n_rrh} RRHs, channels have {ch.n_rrh}")
-    assoc.validate(ch.n_users)
-    if caps.shape != (ch.n_rrh,):
-        raise ValueError(f"power_cap_w must have length {ch.n_rrh}")
-    if (caps <= 0).any():
-        raise ValueError("power caps must be positive")
-    return caps
-
-
 def mrt_gamma_upper_bound(ch: ChannelState, power_cap_w, noise_power_w: float) -> float:
     """Interference-free upper bound max_k (sum_n sqrt(P_n)*||h_kn||)^2 / sigma^2."""
     caps = np.sqrt(np.asarray(power_cap_w, dtype=float))
@@ -108,16 +96,25 @@ class _BeamProblem:
     """Cone-program templates for one (channels, association, caps) triple.
 
     The interference rows scale with sqrt(gamma), everything else is fixed,
-    so a max-min search reuses one template across all its probes.
+    so a max-min search reuses one template across all its probes.  Each
+    public operation builds one first, as the only check of its inputs.
     """
 
     def __init__(self, ch: ChannelState, assoc: AssociationMap, power_cap_w,
                  noise_power_w: float):
-        caps = _validate(ch, assoc, power_cap_w)
+        caps = np.asarray(power_cap_w, dtype=float)
+        if assoc.n_rrh != ch.n_rrh:
+            raise ValueError(f"association has {assoc.n_rrh} RRHs, channels have {ch.n_rrh}")
+        assoc.validate(ch.n_users)
+        if caps.shape != (ch.n_rrh,):
+            raise ValueError(f"power_cap_w must have length {ch.n_rrh}")
+        if (caps <= 0).any():
+            raise ValueError("power caps must be positive")
         self.K, self.N, self.M = ch.h.shape
         self.ch = ch
         self.hs = ch.h / math.sqrt(noise_power_w)
         self.caps = caps
+        self.unserved = bool(assoc.unserved_users(self.K))
         self.pairs = [(k, n) for k in range(self.K) for n in range(self.N)
                       if k in assoc.omega[n]]
         self.col = {pair: 1 + 2 * self.M * i for i, pair in enumerate(self.pairs)}
@@ -204,6 +201,9 @@ class _BeamProblem:
         h2[noise_rows] *= sq
         return G2, h2, spec
 
+    def zeros(self) -> BeamformerSet:
+        return BeamformerSet.zeros(self.K, self.N, self.M)
+
     def unpack(self, x: np.ndarray) -> BeamformerSet:
         w = np.zeros((self.K, self.N, self.M), dtype=np.complex128)
         for i, (k, n) in enumerate(self.pairs):
@@ -265,17 +265,16 @@ def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
                    power_cap_w, noise_power_w: float,
                    tol: SolverTolerances = SolverTolerances()) -> FeasibilityOutcome:
     """Decide whether SINR target gamma_target is achievable at every user."""
-    _validate(ch, assoc, power_cap_w)
+    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     if gamma_target < 0:
         raise ValueError("gamma_target must be nonnegative")
-    zeros = BeamformerSet.zeros(ch.n_users, ch.n_rrh, ch.n_antennas)
     if gamma_target == 0.0:
-        return FeasibilityOutcome("feasible", zeros,
+        return FeasibilityOutcome("feasible", prob.zeros(),
                                   SolverStats("optimal", 0, 0.0, 0.0, 0.0))
-    if assoc.unserved_users(ch.n_users):
+    if prob.unserved:
         return FeasibilityOutcome("infeasible", None,
                                   SolverStats("optimal", 0, -math.inf, 0.0, 0.0))
-    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target, tol)
+    return prob.probe(gamma_target, tol)
 
 
 def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances):
@@ -333,19 +332,15 @@ def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
     (e.g. the value at a superset association); it shrinks the initial
     bracket below the interference-free bound.
     """
-    _validate(ch, assoc, power_cap_w)
-    zeros = BeamformerSet.zeros(ch.n_users, ch.n_rrh, ch.n_antennas)
-    if assoc.unserved_users(ch.n_users):
-        return 0.0, zeros
+    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     gamma_ub = mrt_gamma_upper_bound(ch, power_cap_w, noise_power_w)
     if gamma_upper_hint is not None:
         gamma_ub = min(gamma_ub, float(gamma_upper_hint))
-    if gamma_ub <= 0.0:
-        return 0.0, zeros
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
+    if prob.unserved or gamma_ub <= 0.0:
+        return 0.0, prob.zeros()
     lo, bf_lo = _max_min_bracket(prob, gamma_ub, tol)
     if lo == 0.0:
-        return 0.0, zeros
+        return 0.0, prob.zeros()
     return lo, bf_lo
 
 
@@ -390,19 +385,17 @@ def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
 
 
 def solve_power_min(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
-                    power_cap_w, noise_power_w: float,
-                    tol: SolverTolerances = SolverTolerances()) -> BeamformerSet:
+                    power_cap_w, noise_power_w: float) -> BeamformerSet:
     """Beamformers meeting SINR target gamma_target with minimum total power.
 
     The caller must pass a feasible target; an infeasible one raises
     ValueError (contract violation).
     """
-    _validate(ch, assoc, power_cap_w)
+    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     if gamma_target < 0:
         raise ValueError("gamma_target must be nonnegative")
     if gamma_target == 0.0:
-        return BeamformerSet.zeros(ch.n_users, ch.n_rrh, ch.n_antennas)
-    if assoc.unserved_users(ch.n_users):
+        return prob.zeros()
+    if prob.unserved:
         raise ValueError("positive SINR target with an unserved user is infeasible")
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     return prob.solve_power_min(gamma_target)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -24,9 +23,9 @@ from cran_maxmin.harness import (  # noqa: E402
     ConfigError,
     ExperimentConfig,
     draw_trial,
-    resolve_workers,
     run_scheme,
     run_sweep,
+    to_db,
     write_csv,
 )
 from cran_maxmin.model import load_channel_state, save_channel_state  # noqa: E402
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over fronthaul capacities")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--threads", type=int, default=None)
+    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--timing", action="store_true",
                        help="write measured runtimes (breaks byte determinism)")
 
@@ -66,12 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json(path)
-
-
 def _cmd_gen_channels(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     _, ch = draw_trial(dataclasses.replace(cfg, seed=args.seed), 0)
     save_channel_state(ch, args.out)
     print(f"wrote {args.out}: K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}")
@@ -79,13 +74,13 @@ def _cmd_gen_channels(args) -> int:
 
 
 def _fronthaul(cfg: ExperimentConfig, args):
-    if getattr(args, "fronthaul_bps", None) is not None:
+    if args.fronthaul_bps is not None:
         return args.fronthaul_bps
     return cfg.single_fronthaul()
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     ch = load_channel_state(args.channels)
     netcfg = cfg.network_config(_fronthaul(cfg, args))
     if (ch.n_users, ch.n_rrh, ch.n_antennas) != (cfg.n_users, cfg.n_rrh, cfg.n_antennas):
@@ -99,8 +94,7 @@ def _cmd_solve(args) -> int:
         print(f"t={rec.t} gamma1={rec.gamma1:.6g} gamma2={rec.gamma2:.6g} "
               f"gamma={rec.gamma:.6g} removed={removed} "
               f"omega_sizes={list(rec.omega_sizes)}")
-    db = 10 * math.log10(report.final_gamma) if report.final_gamma > 0 else -math.inf
-    print(f"final gamma={report.final_gamma:.6g} ({db:.3f} dB) "
+    print(f"final gamma={report.final_gamma:.6g} ({to_db(report.final_gamma):.3f} dB) "
           f"omega={[sorted(s) for s in report.final_association.omega]}")
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as f:
@@ -110,20 +104,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    rows, aggregates = run_sweep(cfg, resolve_workers(args.threads))
+    cfg = ExperimentConfig.from_json(args.config)
+    rows, aggregates = run_sweep(cfg, args.threads)
     write_csv(args.out, rows, aggregates, timing=args.timing)
     print(f"wrote {args.out}: {len(rows)} rows, {len(aggregates)} aggregates")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     ch = load_channel_state(args.channels)
     netcfg = cfg.network_config(_fronthaul(cfg, args))
     gamma, assoc = exhaustive_best(ch, netcfg, cfg.tolerances())
-    db = 10 * math.log10(gamma) if gamma > 0 else -math.inf
-    print(f"gamma_opt={gamma:.6g} ({db:.3f} dB)")
+    print(f"gamma_opt={gamma:.6g} ({to_db(gamma):.3f} dB)")
     print(f"assoc_opt={[sorted(s) for s in assoc.omega]}")
     return 0
 

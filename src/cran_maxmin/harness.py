@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,8 +28,6 @@ from cran_maxmin.beamforming import SolverIndeterminate, SolverTolerances
 from cran_maxmin.channels import GenConfig, generate_channels, generate_topology, \
     noise_power, trial_seed
 from cran_maxmin.model import NetworkConfig
-
-WORKERS_ENV_VAR = "CRAN_MAXMIN_WORKERS"
 
 _log = logging.getLogger(__name__)
 
@@ -86,8 +83,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         sweep = list(self.fronthaul_sweep_bps)
-        if not sweep:
-            raise ConfigError("fronthaul_sweep_bps: must be nonempty")
+        if not sweep or sweep[0] < 0:
+            raise ConfigError("fronthaul_sweep_bps: must be nonempty and nonnegative")
         if any(b >= a for a, b in zip(sweep[1:], sweep[:-1])):
             raise ConfigError("fronthaul_sweep_bps: must be strictly increasing")
         self.fronthaul_sweep_bps = [float(v) for v in sweep]
@@ -97,6 +94,13 @@ class ExperimentConfig:
                               f"{tuple(RUNNERS)}, got {self.schemes}")
         if self.redraw not in ("both", "fading"):
             raise ConfigError("redraw: must be 'both' or 'fading'")
+        # derive every piece once: a bad field fails here, not in a sweep worker
+        try:
+            self.gen_config()
+            self.tolerances()
+            self.network_config(self.single_fronthaul())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -140,11 +144,9 @@ class ExperimentConfig:
                            self.bandwidth_hz)
 
     def network_config(self, fronthaul_bps) -> NetworkConfig:
-        if not isinstance(fronthaul_bps, (list, tuple)):
-            fronthaul_bps = [float(fronthaul_bps)] * self.n_rrh
+        """NetworkConfig at fronthaul_bps, one value for every RRH or a list."""
         return NetworkConfig(self.n_rrh, self.n_users, self.n_antennas,
-                             self.bandwidth_hz, self.power_caps_w(),
-                             tuple(float(v) for v in fronthaul_bps),
+                             self.bandwidth_hz, self.power_caps_w(), fronthaul_bps,
                              self.noise_power_w())
 
     def single_fronthaul(self) -> float | list:
@@ -200,7 +202,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
                 "scheme": scheme,
                 "trial": trial,
                 "gamma_linear": gamma,
-                "gamma_db": _to_db(gamma),
+                "gamma_db": to_db(gamma),
                 "iterations": iters,
                 "runtime_ms": elapsed_ms,
                 "status": status,
@@ -208,30 +210,22 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     return rows
 
 
-def _to_db(gamma: float) -> float:
+def to_db(gamma: float) -> float:
     if math.isnan(gamma):
         return math.nan
     return 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
 
 
-def resolve_workers(override: Optional[int] = None) -> int:
-    if override is not None:
-        return max(1, int(override))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    return max(1, int(env)) if env else 1
-
-
-def run_sweep(cfg: ExperimentConfig, workers: Optional[int] = None):
-    """Run the full (capacity x trial x scheme) grid.
+def run_sweep(cfg: ExperimentConfig, workers: int = 1):
+    """Run the full (capacity x trial x scheme) grid, in a pool if workers > 1.
 
     Returns (rows, aggregates): raw rows sorted by (capacity, trial, scheme)
     and one mean row per (capacity, scheme) over the trials that solved;
     failed trials are excluded from the mean and counted in the status field.
     """
-    nworkers = resolve_workers(workers)
     trials = list(range(cfg.trials))
-    if nworkers > 1 and len(trials) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+    if workers > 1 and len(trials) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, [cfg] * len(trials), trials))
     else:
         chunks = [_run_trial(cfg, t) for t in trials]
@@ -258,7 +252,7 @@ def run_sweep(cfg: ExperimentConfig, workers: Optional[int] = None):
                 "scheme": scheme,
                 "trial": "mean",
                 "gamma_linear": mean_gamma,
-                "gamma_db": _to_db(mean_gamma),
+                "gamma_db": to_db(mean_gamma),
                 "iterations": mean_iters,
                 "runtime_ms": mean_ms,
                 "status": f"mean_of_{len(ok)}_failed_{nfail}",

@@ -8,8 +8,7 @@ mutate their inputs.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,15 +177,7 @@ class IterationRecord:
     omega_sizes: tuple[int, ...]
 
     def to_row(self) -> dict:
-        return {
-            "t": self.t,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "gamma": self.gamma,
-            "removed_user": self.removed_user,
-            "removed_rrh": self.removed_rrh,
-            "omega_sizes": list(self.omega_sizes),
-        }
+        return {**asdict(self), "omega_sizes": list(self.omega_sizes)}
 
 
 @dataclass
@@ -199,16 +190,13 @@ class SolveReport:
     final_beamformers: Optional[BeamformerSet] = None
     final_association: Optional[AssociationMap] = None
 
-    def trace_rows(self) -> list[dict]:
-        return [rec.to_row() for rec in self.iterations]
-
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme_label,
             "final_gamma": self.final_gamma,
             "final_omega": [sorted(users) for users in self.final_association.omega]
             if self.final_association is not None else None,
-            "iterations": self.trace_rows(),
+            "iterations": [rec.to_row() for rec in self.iterations],
         }
 
 
@@ -216,14 +204,10 @@ class SolveReport:
 # pure operations
 # ---------------------------------------------------------------------------
 
-def _check_pair(ch: ChannelState, bf: BeamformerSet) -> None:
-    if ch.h.shape != bf.w.shape:
-        raise ValueError(f"channel shape {ch.h.shape} != beamformer shape {bf.w.shape}")
-
-
 def aggregate_gains(ch: ChannelState, bf: BeamformerSet) -> np.ndarray:
     """Matrix A with A[k, j] = sum_n h[k,n]^H w[j,n] (complex, K x K)."""
-    _check_pair(ch, bf)
+    if ch.h.shape != bf.w.shape:
+        raise ValueError(f"channel shape {ch.h.shape} != beamformer shape {bf.w.shape}")
     return np.einsum("knm,jnm->kj", ch.h.conj(), bf.w)
 
 

@@ -65,8 +65,4 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
         _, _, gamma, _ = cache.evaluate(assoc, cfg, hint)
         if gamma > best_gamma:
             best_gamma, best_assoc = gamma, assoc
-    if best_assoc is None:
-        # only possible with require_all_served on and zero candidate maps,
-        # which cannot happen for K, N >= 1; kept as a guard
-        raise RuntimeError("no admissible association found")
     return best_gamma, best_assoc

@@ -10,7 +10,8 @@ nonnegative ray.  The dual is  maximize -h'z  s.t.  G'z + c = 0, z in K.
 
 The method is the homogeneous self-dual embedding with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step.  It supports nothing beyond the
-form above: no free rows, no equality constraints.
+form above: no free rows, no equality constraints.  Its stopping rule is
+fixed by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
 
 G must have full column rank (every variable must enter some cone row);
 the reduced Newton matrix G' W^-2 G is then positive definite, and one
@@ -36,6 +37,10 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 _STEP = 0.99
 _MIN_STEP = 1e-13
+_FEASTOL = 1e-8
+_ABSTOL = 1e-9
+_RELTOL = 1e-8
+_MAX_ITERS = 100
 
 
 class ConeSpec:
@@ -395,17 +400,7 @@ class SocpResult:
     relgap: float
 
 
-def solve_socp(
-    c: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    dims,
-    *,
-    feastol: float = 1e-8,
-    abstol: float = 1e-9,
-    reltol: float = 1e-8,
-    max_iters: int = 100,
-) -> SocpResult:
+def solve_socp(c: np.ndarray, G: np.ndarray, h: np.ndarray, dims) -> SocpResult:
     spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
     G = np.ascontiguousarray(G, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -432,7 +427,7 @@ def solve_socp(
 
     pres = dres = relgap = np.inf
     it = 0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         Gx = newton.G @ x
         Gtz = newton.GT @ z
         cx = float(c @ x)
@@ -447,13 +442,13 @@ def solve_socp(
         pcost = cx / tau
         agap = gap / (tau * tau)
         relgap = agap / max(1.0, abs(pcost), abs(hz / tau))
-        if pres <= feastol and dres <= feastol and (agap <= abstol or relgap <= reltol):
+        if pres <= _FEASTOL and dres <= _FEASTOL and (agap <= _ABSTOL or relgap <= _RELTOL):
             return SocpResult("optimal", x / tau, s / tau, z / tau, pcost,
                               it, pres, dres, relgap)
-        if hz < 0.0 and float(np.linalg.norm(Gtz)) / (-hz) / normc <= feastol:
+        if hz < 0.0 and float(np.linalg.norm(Gtz)) / (-hz) / normc <= _FEASTOL:
             return SocpResult("primal_infeasible", None, None, z / (-hz), None,
                               it, pres, dres, relgap)
-        if cx < 0.0 and float(np.linalg.norm(Gx + s)) / (-cx) / normh <= feastol:
+        if cx < 0.0 and float(np.linalg.norm(Gx + s)) / (-cx) / normh <= _FEASTOL:
             return SocpResult("dual_infeasible", x / (-cx), s / (-cx), None, None,
                               it, pres, dres, relgap)
         score = max(pres, dres, relgap)
@@ -490,14 +485,17 @@ def solve_socp(
             dkappa = (dtk - kappa * dtau) / tau
             return dx, dsz, dtau, dkappa, wdz, ds_scaled
 
+        def boundary_step(dsz, dtau, dkappa):
+            alpha = spec.max_step(sz, dsz)
+            if dtau < 0.0:
+                alpha = min(alpha, -tau / dtau)
+            if dkappa < 0.0:
+                alpha = min(alpha, -kappa / dkappa)
+            return alpha
+
         # predictor
         _, dsza, dtaua, dkappaa, wdza, dssca = direction(-lamlam, -tau * kappa, 1.0)
-        alpha = spec.max_step(sz, dsza)
-        if dtaua < 0.0:
-            alpha = min(alpha, -tau / dtaua)
-        if dkappaa < 0.0:
-            alpha = min(alpha, -kappa / dkappaa)
-        alpha = min(1.0, alpha)
+        alpha = min(1.0, boundary_step(dsza, dtaua, dkappaa))
         s_aff, z_aff = sz + alpha * dsza
         mu_aff = (float(s_aff @ z_aff)
                   + (tau + alpha * dtaua) * (kappa + alpha * dkappaa)) / (spec.deg + 1)
@@ -508,12 +506,7 @@ def solve_socp(
         dtk = -tau * kappa - dtaua * dkappaa + sigma * mu
         dx, dsz, dtau, dkappa, _, _ = direction(ds, dtk, 1.0 - sigma)
 
-        alpha = spec.max_step(sz, dsz)
-        if dtau < 0.0:
-            alpha = min(alpha, -tau / dtau)
-        if dkappa < 0.0:
-            alpha = min(alpha, -kappa / dkappa)
-        alpha = min(1.0, _STEP * alpha)
+        alpha = min(1.0, _STEP * boundary_step(dsz, dtau, dkappa))
         if alpha < _MIN_STEP:
             break
 

@@ -471,6 +471,61 @@ class TestSolvePowerMin:
         assert built == [False]
 
 
+class TestTrivialCases:
+    """Every entry point checks its inputs before any trivial exit (a zero
+    target, a user no RRH serves) and takes that exit without a cone solve."""
+
+    CH = random_channels(97, 2, 2, 2)
+    FULL = AssociationMap.full(2, 2)
+    UNSERVED = AssociationMap((frozenset([0]), frozenset([0])))  # user 1 unserved
+    CALLS = {
+        "check_feasible": lambda assoc, gamma, caps: check_feasible(
+            TestTrivialCases.CH, assoc, gamma, caps, 1.0),
+        "max_min_value": lambda assoc, gamma, caps: max_min_value(
+            TestTrivialCases.CH, assoc, caps, 1.0),
+        "solve_max_min": lambda assoc, gamma, caps: solve_max_min(
+            TestTrivialCases.CH, assoc, caps, 1.0),
+        "solve_power_min": lambda assoc, gamma, caps: solve_power_min(
+            TestTrivialCases.CH, assoc, gamma, caps, 1.0),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_cone_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a trivial case ran a cone solve")
+
+        monkeypatch.setattr(beamforming, "solve_socp", fail)
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("assoc, gamma", [(FULL, 0.0), (UNSERVED, 0.5)],
+                             ids=["zero_target", "unserved_user"])
+    @pytest.mark.parametrize("bad", ["cap_count", "cap_sign", "rrh_count", "user_index"])
+    def test_bad_input_raises_before_the_trivial_exit(self, name, assoc, gamma, bad):
+        caps = {"cap_count": [1.0], "cap_sign": [1.0, 0.0]}.get(bad, [1.0, 1.0])
+        if bad == "rrh_count":
+            assoc = AssociationMap(assoc.omega + (frozenset(),))
+        elif bad == "user_index":
+            assoc = AssociationMap((assoc.omega[0] | {2}, assoc.omega[1]))
+        with pytest.raises(ValueError):
+            self.CALLS[name](assoc, gamma, caps)
+
+    def test_trivial_results(self):
+        caps = [1.0, 1.0]
+        out = self.CALLS["check_feasible"](self.FULL, 0.0, caps)
+        assert out.status == "feasible" and not out.beamformers.w.any()
+        assert out.solver_stats == SolverStats("optimal", 0, 0.0, 0.0, 0.0)
+        out = self.CALLS["check_feasible"](self.UNSERVED, 0.5, caps)
+        assert out.status == "infeasible" and out.beamformers is None
+        assert out.solver_stats.margin == -math.inf
+        for name in ("max_min_value", "solve_max_min"):
+            gamma, bf = self.CALLS[name](self.UNSERVED, None, caps)
+            assert gamma == 0.0 and bf.w.shape == (2, 2, 2) and not bf.w.any()
+        bf = self.CALLS["solve_power_min"](self.FULL, 0.0, caps)
+        assert bf.w.shape == (2, 2, 2) and not bf.w.any()
+        with pytest.raises(ValueError, match="unserved"):
+            self.CALLS["solve_power_min"](self.UNSERVED, 0.5, caps)
+
+
 @pytest.mark.xfail(strict=True, reason="the IPM still stalls on a paper-scale draw "
                    "with a user 1.3 m from an RRH")
 def test_user_next_to_an_rrh_is_decided():

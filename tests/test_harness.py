@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from cran_maxmin import harness
 from cran_maxmin.cli import cli_main
 from cran_maxmin.harness import (
     RUNNERS,
@@ -72,6 +73,23 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config(tx_power_dbm=[30.0]).power_caps_w()
 
+    @pytest.mark.parametrize("field, value", [
+        ("rrh_placement", "grid"),
+        ("min_distance_m", 0),
+        ("bisection_rel_tol", 0),
+        ("tx_power_dbm", [30.0, 30.0]),
+        ("fronthaul_cap_bps", [1e7, 1e7]),
+        ("fronthaul_sweep_bps", [-1.0, 2.0]),
+    ])
+    def test_every_field_checked_at_load(self, field, value, tmp_path):
+        # n_rrh is 3: the two lists are one entry short
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(n_rrh=3, **{field: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_rrh": 3, field: value}))
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_json(path)
+
     def test_network_config_from_scalar_fronthaul(self):
         cfg = tiny_config()
         net = cfg.network_config(5e6)
@@ -128,6 +146,23 @@ class TestRunSweep:
         cfg, (rows, _) = sweep_result
         rows2, _ = run_sweep(cfg, workers=2)
         assert _rows_equal(rows, rows2)
+
+
+def test_workers_default_to_one_whatever_the_environment(tmp_path, monkeypatch):
+    # the sweep once read its worker count from CRAN_MAXMIN_WORKERS
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setenv("CRAN_MAXMIN_WORKERS", "2")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    cfg = tiny_config(fronthaul_sweep_bps=[8e6], schemes=["bench3"])
+    rows, _ = run_sweep(cfg)
+    assert len(rows) == cfg.trials
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, fronthaul_sweep_bps=[8e6], schemes=["bench3"])))
+    out = tmp_path / "results.csv"
+    assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_failing_run_is_an_error_row(sweep_result, monkeypatch, caplog):
