@@ -60,8 +60,9 @@ class SolverTolerances:
     max_bisection_iters: int = 60
 
     def __post_init__(self):
-        if min(self.bisection_rel_tol, self.cone_feas_tol) <= 0 or self.max_bisection_iters <= 0:
-            raise ValueError("bisection_rel_tol, cone_feas_tol, max_bisection_iters: must be > 0")
+        for name in ("bisection_rel_tol", "cone_feas_tol", "max_bisection_iters"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name}: must be > 0")
 
 
 @dataclass
@@ -90,6 +91,16 @@ def mrt_gamma_upper_bound(ch: ChannelState, power_cap_w, noise_power_w: float) -
     caps = np.sqrt(np.asarray(power_cap_w, dtype=float))
     norms = np.linalg.norm(ch.h, axis=2)  # (K, N)
     return float(np.max((norms @ caps) ** 2) / noise_power_w)
+
+
+def per_user_gamma_upper_bound(ch: ChannelState, assoc: AssociationMap, power_cap_w,
+                               noise_power_w: float) -> float:
+    """Interference-free upper bound of one association's common SINR:
+    min_k (sum_{n in S_k} sqrt(P_n)*||h_kn||)^2 / sigma^2, with S_k user k's
+    serving RRHs; 0 when a user is unserved."""
+    caps = np.sqrt(np.asarray(power_cap_w, dtype=float))
+    norms = np.linalg.norm(ch.h, axis=2) * assoc.indicator(ch.n_users)  # (K, N)
+    return float(np.min((norms @ caps) ** 2) / noise_power_w)
 
 
 class _BeamProblem:

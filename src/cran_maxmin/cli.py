@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--timing", action="store_true",
                        help="write measured runtimes (breaks byte determinism)")
 
-    oracle = sub.add_parser("oracle", help="exhaustive association search (tiny instances)")
+    oracle = sub.add_parser("oracle", help="exact best association (tiny instances)")
     oracle.add_argument("--channels", required=True)
     oracle.add_argument("--config", required=True)
     oracle.add_argument("--fronthaul-bps", type=float, default=None)
@@ -73,20 +73,22 @@ def _cmd_gen_channels(args) -> int:
     return 0
 
 
-def _fronthaul(cfg: ExperimentConfig, args):
-    if args.fronthaul_bps is not None:
-        return args.fronthaul_bps
-    return cfg.single_fronthaul()
-
-
-def _cmd_solve(args) -> int:
+def _load_instance(args):
+    """(config, channels, NetworkConfig at --fronthaul-bps or the config's
+    single capacity).  A channel file of another shape than the config is
+    refused."""
     cfg = ExperimentConfig.from_json(args.config)
     ch = load_channel_state(args.channels)
-    netcfg = cfg.network_config(_fronthaul(cfg, args))
     if (ch.n_users, ch.n_rrh, ch.n_antennas) != (cfg.n_users, cfg.n_rrh, cfg.n_antennas):
         raise ConfigError(
             f"channel file is K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}, "
             f"config says K={cfg.n_users} N={cfg.n_rrh} M={cfg.n_antennas}")
+    fronthaul = cfg.single_fronthaul() if args.fronthaul_bps is None else args.fronthaul_bps
+    return cfg, ch, cfg.network_config(fronthaul)
+
+
+def _cmd_solve(args) -> int:
+    cfg, ch, netcfg = _load_instance(args)
     report = run_scheme(args.scheme, ch, netcfg, cfg.tolerances())
     for rec in report.iterations:
         removed = "-" if rec.removed_user is None \
@@ -112,9 +114,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    ch = load_channel_state(args.channels)
-    netcfg = cfg.network_config(_fronthaul(cfg, args))
+    cfg, ch, netcfg = _load_instance(args)
     gamma, assoc = exhaustive_best(ch, netcfg, cfg.tolerances())
     print(f"gamma_opt={gamma:.6g} ({to_db(gamma):.3f} dB)")
     print(f"assoc_opt={[sorted(s) for s in assoc.omega]}")

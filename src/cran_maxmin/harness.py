@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -49,6 +50,16 @@ CSV_COLUMNS = ("fronthaul_bps", "scheme", "trial", "gamma_linear", "gamma_db",
                "iterations", "runtime_ms", "status")
 
 
+_INT_FIELDS = ("n_rrh", "n_users", "n_antennas", "trials", "seed", "max_bisection_iters")
+_REAL_FIELDS = ("bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db", "radius_m",
+                "pathloss_a_db", "pathloss_b", "min_distance_m", "rrh_ring_frac",
+                "bisection_rel_tol", "cone_feas_tol")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """Configuration problem, reported with the offending field."""
 
@@ -80,16 +91,24 @@ class ExperimentConfig:
     max_bisection_iters: int = 60
 
     def __post_init__(self):
+        for names, kind, what in ((_INT_FIELDS, numbers.Integral, "an integer"),
+                                  (_REAL_FIELDS, numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if not _is_number(value, kind):
+                    raise ConfigError(f"{name}: must be {what}, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
-        sweep = list(self.fronthaul_sweep_bps)
+        sweep = self.fronthaul_sweep_bps
+        if not isinstance(sweep, (list, tuple)) or not all(map(_is_number, sweep)):
+            raise ConfigError(f"fronthaul_sweep_bps: must be a list of numbers, got {sweep!r}")
         if not sweep or sweep[0] < 0:
             raise ConfigError("fronthaul_sweep_bps: must be nonempty and nonnegative")
         if any(b >= a for a, b in zip(sweep[1:], sweep[:-1])):
             raise ConfigError("fronthaul_sweep_bps: must be strictly increasing")
         self.fronthaul_sweep_bps = [float(v) for v in sweep]
-        bad = [s for s in self.schemes if s not in RUNNERS]
-        if bad or not self.schemes:
+        if not isinstance(self.schemes, (list, tuple)) or not self.schemes \
+                or any(s not in RUNNERS for s in self.schemes):
             raise ConfigError(f"schemes: must be a nonempty subset of "
                               f"{tuple(RUNNERS)}, got {self.schemes}")
         if self.redraw not in ("both", "fading"):
@@ -137,7 +156,10 @@ class ExperimentConfig:
             dbm = [dbm] * self.n_rrh
         if len(dbm) != self.n_rrh:
             raise ConfigError(f"tx_power_dbm: expected {self.n_rrh} values")
-        return tuple(10.0 ** ((float(v) - 30.0) / 10.0) for v in dbm)
+        try:
+            return tuple(10.0 ** ((float(v) - 30.0) / 10.0) for v in dbm)
+        except (TypeError, ValueError):
+            raise ConfigError(f"tx_power_dbm: expected numbers, got {self.tx_power_dbm!r}")
 
     def noise_power_w(self) -> float:
         return noise_power(self.noise_psd_dbm_hz, self.noise_figure_db,

@@ -1,19 +1,30 @@
-"""Brute-force ground truth on tiny instances.
+"""Exact optimum on tiny instances: a best-first search over associations.
 
-Enumerates every user-RRH association (2^(N*K) of them), scores each fixed
-association with the min(wireless, fronthaul) combination rule of
-`SolveCache.evaluate`, and keeps the best.  Deliberately transparent: no
-pruning beyond skipping maps that leave a user unserved.  The search reads
-values only, so it runs no power-min solve; `solve_fixed_association`
-solves the beamformers of the one association it is asked about.
+Every user-RRH association (2^(N*K) of them) is a candidate, scored with the
+min(wireless, fronthaul) combination rule of `SolveCache.evaluate`.  Three
+upper bounds that need no solve order the candidates and prune them:
+
+- the search's starting point: every max-min starts from the full
+  association's value with a little headroom, so none returns more;
+- the fronthaul closed form gamma2, which caps gamma exactly;
+- the per-user interference-free SNR (`per_user_gamma_upper_bound`), with
+  the same headroom for the root-finder's tolerance.
+
+Candidates are solved in descending order of their bound, and the search
+stops at the first one whose bound is below the best value found.  Every
+solve gets the same upper hint, so each value solved equals the one a full
+enumeration would compute, and the search returns the enumeration's answer
+bit for bit.  The search reads values only, so it runs no power-min solve;
+`solve_fixed_association` solves the beamformers of the one association it
+is asked about.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from cran_maxmin.association import SolveCache
-from cran_maxmin.beamforming import SolverTolerances
+from cran_maxmin.association import SolveCache, fronthaul_cap
+from cran_maxmin.beamforming import SolverTolerances, per_user_gamma_upper_bound
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState, NetworkConfig
 
 MAX_ORACLE_LINKS = 12
@@ -44,10 +55,11 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
                     tol: SolverTolerances = SolverTolerances(),
                     require_all_served: bool = True
                     ) -> Tuple[float, AssociationMap]:
-    """Best association over the full 2^(N*K) enumeration.
+    """Best association over all 2^(N*K) of them, by best-first search.
 
-    Ties keep the first maximizer in row-major mask order.  Refuses
-    instances with more than MAX_ORACLE_LINKS links.
+    Ties keep the first maximizer in row-major mask order, as a full
+    enumeration would.  Refuses instances with more than MAX_ORACLE_LINKS
+    links.
     """
     links = cfg.n_rrh * cfg.n_users
     if links > MAX_ORACLE_LINKS:
@@ -56,13 +68,26 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
     cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     # the full association bounds every subset's wireless optimum
     full_gamma = cache.value(AssociationMap.full(cfg.n_rrh, cfg.n_users))
-    hint = full_gamma * (1.0 + 10.0 * tol.bisection_rel_tol)
-    best_gamma, best_assoc = -1.0, None
+    headroom = 1.0 + 10.0 * tol.bisection_rel_tol
+    hint = full_gamma * headroom
+    candidates = []
     for mask in range(1 << links):
         assoc = _mask_to_association(mask, cfg.n_users, cfg.n_rrh)
         if require_all_served and assoc.unserved_users(cfg.n_users):
             continue
+        bound = min(hint,
+                    fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz),
+                    headroom * per_user_gamma_upper_bound(
+                        ch, assoc, cfg.power_cap_w, cfg.noise_power_w))
+        candidates.append((bound, mask, assoc))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    best_gamma, best_mask, best_assoc = -1.0, -1, None
+    for bound, mask, assoc in candidates:
+        if bound < best_gamma:
+            break  # no later candidate can reach the best value
         _, _, gamma, _ = cache.evaluate(assoc, cfg, hint)
-        if gamma > best_gamma:
-            best_gamma, best_assoc = gamma, assoc
+        # tied values mostly share their bound and so arrive in mask order;
+        # the mask test keeps the enumeration's choice when they do not
+        if gamma > best_gamma or (gamma == best_gamma and mask < best_mask):
+            best_gamma, best_mask, best_assoc = gamma, mask, assoc
     return best_gamma, best_assoc

@@ -19,6 +19,7 @@ from cran_maxmin.beamforming import (
     check_feasible,
     max_min_value,
     mrt_gamma_upper_bound,
+    per_user_gamma_upper_bound,
     solve_max_min,
     solve_power_min,
 )
@@ -374,6 +375,35 @@ class TestProbeSlope:
         stats = prob.probe(0.0, TOL).solver_stats
         assert stats.status == "optimal"
         assert stats.slope is None
+
+
+class TestPerUserBound:
+    @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
+    def test_bounds_the_max_min_value(self, case):
+        _, ch, assoc, caps, sigma2, _ = case
+        bound = per_user_gamma_upper_bound(ch, assoc, caps, sigma2)
+        gamma, _ = max_min_value(ch, assoc, caps, sigma2, TOL)
+        assert gamma <= bound <= mrt_gamma_upper_bound(ch, caps, sigma2)
+
+    def test_one_user_is_the_mrt_closed_form(self):
+        ch = random_channels(90, 1, 3, 2)
+        caps = (1.0, 0.5, 2.0)
+        full = AssociationMap.full(3, 1)
+        assert per_user_gamma_upper_bound(ch, full, caps, 1.0) == \
+            mrt_gamma_upper_bound(ch, caps, 1.0)
+        # served by RRHs 0 and 2 only: MRT on those two links is optimal
+        pruned = full.remove_link(0, 1)
+        closed = (math.sqrt(1.0) * np.linalg.norm(ch.h[0, 0])
+                  + math.sqrt(2.0) * np.linalg.norm(ch.h[0, 2])) ** 2
+        bound = per_user_gamma_upper_bound(ch, pruned, caps, 1.0)
+        assert bound == pytest.approx(closed, rel=1e-12)
+        gamma, _ = solve_max_min(ch, pruned, caps, 1.0, TOL)
+        assert gamma == pytest.approx(bound, rel=2 * TOL.bisection_rel_tol)
+
+    def test_zero_with_an_unserved_user(self):
+        ch = random_channels(91, 3, 2, 2)
+        assoc = AssociationMap((frozenset({0, 1}), frozenset({1})))
+        assert per_user_gamma_upper_bound(ch, assoc, (1.0, 1.0), 1.0) == 0.0
 
 
 class TestPowerMinFallback:

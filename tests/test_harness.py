@@ -90,6 +90,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cone_feas_tol", math.nan),
+        ("bisection_rel_tol", math.nan),
+        ("trials", "x"),
+        ("trials", 2.5),
+        ("tx_power_dbm", "abc"),
+        ("bandwidth_hz", "abc"),
+        ("seed", "x"),
+        ("fronthaul_sweep_bps", 5e6),
+        ("fronthaul_sweep_bps", ["a"]),
+        ("schemes", None),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ExperimentConfig(**{field: value})
+
     def test_network_config_from_scalar_fronthaul(self):
         cfg = tiny_config()
         net = cfg.network_config(5e6)
@@ -343,6 +359,18 @@ class TestCli:
         cfg_bad = self._config_file(tmp_path, n_users=4)
         assert cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
                          "--config", str(cfg_bad)]) == 1
+
+    @pytest.mark.parametrize("command", [["solve", "--scheme", "alg1"], ["oracle"]])
+    def test_mismatched_channel_file_names_both_shapes(self, tmp_path, capsys, command):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(chan)])
+        capsys.readouterr()
+        cfg_bad = self._config_file(tmp_path, n_users=4)
+        assert cli_main(command + ["--channels", str(chan), "--config", str(cfg_bad)]) == 1
+        assert "channel file is K=3 N=2 M=2, config says K=4 N=2 M=2" in \
+            capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert cli_main(["sweep", "--bogus"]) == 1
