@@ -152,16 +152,10 @@ def bottleneck_rrhs(assoc: AssociationMap, fronthaul_cap_bps: Sequence[float]) -
     return {n for n, v in ratios.items() if v <= thresh}
 
 
-def candidate_links(psi: set, assoc: AssociationMap,
-                    last_link_guard: bool = True) -> set:
-    """Active links at bottleneck RRHs; optionally excludes a user's last link."""
-    phi = set()
-    for n in sorted(psi):
-        for k in sorted(assoc.omega[n]):
-            if last_link_guard and len(assoc.serving_rrhs(k)) == 1:
-                continue
-            phi.add((k, n))
-    return phi
+def candidate_links(psi: set, assoc: AssociationMap) -> set:
+    """Active links at bottleneck RRHs, except each user's last link."""
+    return {(k, n) for n in psi for k in assoc.omega[n]
+            if len(assoc.serving_rrhs(k)) > 1}
 
 
 def _argmax_link(scores: dict) -> LinkChoice:
@@ -217,7 +211,6 @@ def _finish(report: SolveReport, gamma: float, read, cfg: NetworkConfig) -> Solv
 def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
                    tol: SolverTolerances = SolverTolerances(),
                    selector: str = "residual",
-                   last_link_guard: bool = True,
                    cache: Optional[SolveCache] = None) -> SolveReport:
     """Iterative link removal: start from full association, prune one link at
     the fronthaul bottleneck per iteration until the wireless optimum fits
@@ -242,7 +235,7 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
             gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg, hint)
             # removing links never improves the wireless optimum, so the
             # previous value (with tolerance headroom) bounds this one
-            hint = gamma1 * (1.0 + 10.0 * tol.bisection_rel_tol)
+            hint = gamma1 * tol.hint_headroom
             rec = IterationRecord(t, gamma1, gamma2, gamma_t, None, None,
                                   assoc.sizes())
             report.iterations.append(rec)
@@ -252,7 +245,7 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
             if gamma1 <= gamma2:
                 break
             psi = bottleneck_rrhs(assoc, cfg.fronthaul_cap_bps)
-            phi = candidate_links(psi, assoc, last_link_guard)
+            phi = candidate_links(psi, assoc)
             if not phi:
                 break
             # the value is a hit; the tightening power-min runs on first read

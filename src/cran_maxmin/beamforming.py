@@ -49,11 +49,13 @@ class SolverIndeterminate(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """bisection_rel_tol: a max-min search (Newton, no longer bisection; the
-    names are config keys) stops once its bracket [lo feasible, hi infeasible]
-    has hi - lo <= bisection_rel_tol * lo.  cone_feas_tol: a probe is feasible
-    iff its optimal margin is at least -cone_feas_tol.  max_bisection_iters:
-    at most this many feasibility probes per max-min search."""
+    """The solver's accuracy; the defaults are the program's.
+
+    bisection_rel_tol: a max-min search stops once its bracket [lo feasible,
+    hi infeasible] has hi - lo <= bisection_rel_tol * lo.  cone_feas_tol: a
+    probe is feasible iff its optimal margin is at least -cone_feas_tol.
+    max_bisection_iters: at most this many feasibility probes per max-min
+    search.  The search takes Newton steps; the names are older than that."""
 
     bisection_rel_tol: float = 1e-4
     cone_feas_tol: float = 1e-7
@@ -63,6 +65,14 @@ class SolverTolerances:
         for name in ("bisection_rel_tol", "cone_feas_tol", "max_bisection_iters"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name}: must be > 0")
+
+    @property
+    def hint_headroom(self) -> float:
+        """Factor that turns a max-min value into an upper hint for a search
+        whose optimum it bounds.  A value may sit up to bisection_rel_tol
+        below its optimum, and two separate solves of one optimum differ by
+        up to 2 bisection_rel_tol; 10 times the tolerance clears both."""
+        return 1.0 + 10.0 * self.bisection_rel_tol
 
 
 @dataclass

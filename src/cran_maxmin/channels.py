@@ -36,28 +36,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Deployment geometry, path loss and noise model parameters."""
-
-    radius_m: float = 500.0
-    pathloss_a_db: float = 30.6
-    pathloss_b: float = 36.7
-    noise_psd_dbm_hz: float = -169.0
-    noise_figure_db: float = 7.0
-    min_distance_m: float = 1.0
-    rrh_placement: str = "uniform"  # "uniform" in the disk, or fixed "ring"
-    rrh_ring_frac: float = 0.5
-
-    def __post_init__(self):
-        if not self.radius_m > 0:
-            raise ValueError("radius_m must be > 0")
-        if not self.min_distance_m > 0:
-            raise ValueError("min_distance_m must be > 0")
-        if self.rrh_placement not in ("uniform", "ring"):
-            raise ValueError("rrh_placement must be 'uniform' or 'ring'")
-
-
 @dataclass
 class Topology:
     """RRH and user positions inside a disk centered at the origin."""
@@ -83,35 +61,30 @@ def _uniform_disk(rng: np.random.Generator, count: int, radius: float) -> np.nda
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def generate_topology(cfg: GenConfig, n_rrh: int, n_users: int, rng_seed: int) -> Topology:
-    """Draw RRH positions first, then user positions, from one Philox stream."""
+def generate_topology(n_rrh: int, n_users: int, radius_m: float, rng_seed: int) -> Topology:
+    """Draw RRH positions first, then user positions, uniformly in the disk
+    of radius_m, from one Philox stream."""
     rng = _rng(rng_seed)
-    if cfg.rrh_placement == "ring":
-        theta = 2.0 * np.pi * np.arange(n_rrh) / max(n_rrh, 1)
-        r = cfg.rrh_ring_frac * cfg.radius_m
-        rrh = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    else:
-        rrh = _uniform_disk(rng, n_rrh, cfg.radius_m)
-    users = _uniform_disk(rng, n_users, cfg.radius_m)
-    return Topology(rrh, users, cfg.radius_m)
+    rrh = _uniform_disk(rng, n_rrh, radius_m)
+    users = _uniform_disk(rng, n_users, radius_m)
+    return Topology(rrh, users, radius_m)
 
 
-def pathloss_db(cfg: GenConfig, distance_m) -> np.ndarray:
+def pathloss_db(distance_m, a_db: float, b: float, min_distance_m: float) -> np.ndarray:
     """a + b*log10(d) in dB, with d clamped at the minimum-distance guard."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), cfg.min_distance_m)
-    return cfg.pathloss_a_db + cfg.pathloss_b * np.log10(d)
+    d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
+    return a_db + b * np.log10(d)
 
 
-def generate_channels(topo: Topology, cfg: GenConfig, n_antennas: int,
-                      rng_seed: int, *, noise_power_w: float) -> ChannelState:
-    """Rayleigh fading on top of distance path loss.
+def generate_channels(loss_db: np.ndarray, n_antennas: int, rng_seed: int, *,
+                      noise_power_w: float) -> ChannelState:
+    """Rayleigh fading on top of a (K, N) path loss in dB.
 
-    h[k, n] = sqrt(10^(-PL(d_kn)/10)) * g with g an M-vector of independent
-    standard circular complex Gaussians (unit power per antenna).
+    h[k, n] = sqrt(10^(-loss_db[k, n]/10)) * g with g an M-vector of
+    independent standard circular complex Gaussians (unit power per antenna).
     """
-    dist = topo.distances()
-    amp = np.power(10.0, -pathloss_db(cfg, dist) / 20.0)
-    k, n = dist.shape
+    amp = np.power(10.0, -np.asarray(loss_db, dtype=float) / 20.0)
+    k, n = amp.shape
     raw = _rng(rng_seed).standard_normal((k, n, n_antennas, 2))
     g = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
     return ChannelState(amp[:, :, None] * g, noise_power_w)

@@ -26,8 +26,8 @@ from cran_maxmin.association import (
     run_benchmark3,
 )
 from cran_maxmin.beamforming import SolverIndeterminate, SolverTolerances
-from cran_maxmin.channels import GenConfig, generate_channels, generate_topology, \
-    noise_power, trial_seed
+from cran_maxmin.channels import generate_channels, generate_topology, noise_power, \
+    pathloss_db, trial_seed
 from cran_maxmin.model import NetworkConfig
 
 _log = logging.getLogger(__name__)
@@ -50,14 +50,23 @@ CSV_COLUMNS = ("fronthaul_bps", "scheme", "trial", "gamma_linear", "gamma_db",
                "iterations", "runtime_ms", "status")
 
 
-_INT_FIELDS = ("n_rrh", "n_users", "n_antennas", "trials", "seed", "max_bisection_iters")
+_INT_FIELDS = ("n_rrh", "n_users", "n_antennas", "trials", "seed")
 _REAL_FIELDS = ("bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db", "radius_m",
-                "pathloss_a_db", "pathloss_b", "min_distance_m", "rrh_ring_frac",
-                "bisection_rel_tol", "cone_feas_tol")
+                "pathloss_a_db", "pathloss_b", "min_distance_m")
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Real, inf_ok=False) -> bool:
+    """A number of the kind, not a bool and not NaN; infinite only if inf_ok."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value) \
+        or (inf_ok and not math.isnan(value))
+
+
+def _numbers(value, inf_ok=False) -> bool:
+    """A number or a list of numbers, as `_is_number`."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return all(_is_number(v, inf_ok=inf_ok) for v in values)
 
 
 class ConfigError(ValueError):
@@ -77,30 +86,31 @@ class ExperimentConfig:
     pathloss_a_db: float = 30.6
     pathloss_b: float = 36.7
     min_distance_m: float = 1.0
-    rrh_placement: str = "uniform"
-    rrh_ring_frac: float = 0.5
     fronthaul_sweep_bps: list = field(default_factory=lambda: [5e6, 10e6, 15e6,
                                                                20e6, 40e6, 80e6])
     fronthaul_cap_bps: Optional[float | list] = None  # single-instance runs
     trials: int = 20
     seed: int = 1
     schemes: list = field(default_factory=lambda: list(RUNNERS))
-    redraw: str = "both"  # redraw "both" topology+fading, or "fading" only
-    bisection_rel_tol: float = 1e-4
-    cone_feas_tol: float = 1e-7
-    max_bisection_iters: int = 60
 
     def __post_init__(self):
         for names, kind, what in ((_INT_FIELDS, numbers.Integral, "an integer"),
-                                  (_REAL_FIELDS, numbers.Real, "a number")):
+                                  (_REAL_FIELDS, numbers.Real, "a finite number")):
             for name in names:
                 value = getattr(self, name)
                 if not _is_number(value, kind):
                     raise ConfigError(f"{name}: must be {what}, got {value!r}")
+        for name in ("radius_m", "min_distance_m"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name}: must be > 0")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
+        if not _numbers(self.tx_power_dbm):
+            raise ConfigError(f"tx_power_dbm: must be a finite number or a list of them, "
+                              f"got {self.tx_power_dbm!r}")
         sweep = self.fronthaul_sweep_bps
-        if not isinstance(sweep, (list, tuple)) or not all(map(_is_number, sweep)):
+        # +inf b/s is a fronthaul without limit
+        if not isinstance(sweep, (list, tuple)) or not _numbers(sweep, inf_ok=True):
             raise ConfigError(f"fronthaul_sweep_bps: must be a list of numbers, got {sweep!r}")
         if not sweep or sweep[0] < 0:
             raise ConfigError("fronthaul_sweep_bps: must be nonempty and nonnegative")
@@ -111,12 +121,8 @@ class ExperimentConfig:
                 or any(s not in RUNNERS for s in self.schemes):
             raise ConfigError(f"schemes: must be a nonempty subset of "
                               f"{tuple(RUNNERS)}, got {self.schemes}")
-        if self.redraw not in ("both", "fading"):
-            raise ConfigError("redraw: must be 'both' or 'fading'")
         # derive every piece once: a bad field fails here, not in a sweep worker
         try:
-            self.gen_config()
-            self.tolerances()
             self.network_config(self.single_fronthaul())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -130,6 +136,9 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, "
+                              f"not {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -141,14 +150,8 @@ class ExperimentConfig:
 
     # -- derived pieces -----------------------------------------------------
     def tolerances(self) -> SolverTolerances:
-        return SolverTolerances(self.bisection_rel_tol, self.cone_feas_tol,
-                                self.max_bisection_iters)
-
-    def gen_config(self) -> GenConfig:
-        return GenConfig(self.radius_m, self.pathloss_a_db, self.pathloss_b,
-                         self.noise_psd_dbm_hz, self.noise_figure_db,
-                         self.min_distance_m, self.rrh_placement,
-                         self.rrh_ring_frac)
+        """The solver's accuracy, the same for every experiment."""
+        return SolverTolerances()
 
     def power_caps_w(self) -> tuple:
         dbm = self.tx_power_dbm
@@ -156,10 +159,7 @@ class ExperimentConfig:
             dbm = [dbm] * self.n_rrh
         if len(dbm) != self.n_rrh:
             raise ConfigError(f"tx_power_dbm: expected {self.n_rrh} values")
-        try:
-            return tuple(10.0 ** ((float(v) - 30.0) / 10.0) for v in dbm)
-        except (TypeError, ValueError):
-            raise ConfigError(f"tx_power_dbm: expected numbers, got {self.tx_power_dbm!r}")
+        return tuple(10.0 ** ((float(v) - 30.0) / 10.0) for v in dbm)
 
     def noise_power_w(self) -> float:
         return noise_power(self.noise_psd_dbm_hz, self.noise_figure_db,
@@ -184,15 +184,13 @@ def run_scheme(scheme: str, ch, netcfg, tol, topology=None, cache=None):
 
 
 def draw_trial(cfg: ExperimentConfig, trial: int):
-    """Topology and channels for one trial from its sub-seed."""
-    gen = cfg.gen_config()
-    if cfg.redraw == "both":
-        topo_seed = trial_seed(cfg.seed, 2 * trial)
-    else:
-        topo_seed = trial_seed(cfg.seed, 0)
-    chan_seed = trial_seed(cfg.seed, 2 * trial + 1)
-    topo = generate_topology(gen, cfg.n_rrh, cfg.n_users, topo_seed)
-    ch = generate_channels(topo, gen, cfg.n_antennas, chan_seed,
+    """Topology and channels for one trial: the topology from sub-seed
+    2 trial, the fading from sub-seed 2 trial + 1."""
+    topo = generate_topology(cfg.n_rrh, cfg.n_users, cfg.radius_m,
+                             trial_seed(cfg.seed, 2 * trial))
+    loss_db = pathloss_db(topo.distances(), cfg.pathloss_a_db, cfg.pathloss_b,
+                          cfg.min_distance_m)
+    ch = generate_channels(loss_db, cfg.n_antennas, trial_seed(cfg.seed, 2 * trial + 1),
                            noise_power_w=cfg.noise_power_w())
     return topo, ch
 

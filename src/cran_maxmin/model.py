@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_ZERO_TOL_REL = 1e-10
+_ZERO_TOL_REL = 1e-10  # of the power cap: a link with less power is inactive
 
 
 def _as_float_tuple(values, name: str, length: int) -> tuple[float, ...]:
@@ -53,7 +53,7 @@ class NetworkConfig:
                            _as_float_tuple(self.fronthaul_cap_bps, "fronthaul_cap_bps", self.n_rrh))
         if any(p <= 0 for p in self.power_cap_w):
             raise ValueError("power_cap_w entries must be > 0")
-        if any(t < 0 for t in self.fronthaul_cap_bps):
+        if not all(t >= 0 for t in self.fronthaul_cap_bps):  # NaN fails too
             raise ValueError("fronthaul_cap_bps entries must be >= 0")
 
 
@@ -220,13 +220,6 @@ def compute_all_sinrs(ch: ChannelState, bf: BeamformerSet, noise_power_w: float)
     return sig / (interf + noise_power_w)
 
 
-def compute_sinr(ch: ChannelState, bf: BeamformerSet, noise_power_w: float, k: int) -> float:
-    """Decoding SINR of user k: coherent signal over interference plus noise."""
-    if not 0 <= k < ch.n_users:
-        raise ValueError(f"user index {k} out of range")
-    return float(compute_all_sinrs(ch, bf, noise_power_w)[k])
-
-
 def achievable_rate(gamma: float, bandwidth_hz: float):
     """Shannon rate B*log2(1+gamma) in bit/s; accepts scalars or arrays."""
     gamma = np.asarray(gamma, dtype=float)
@@ -238,16 +231,13 @@ def achievable_rate(gamma: float, bandwidth_hz: float):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def association_indicator(bf: BeamformerSet, power_cap_w: Sequence[float],
-                          zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> np.ndarray:
-    """Binary K x N matrix: link active iff ||w||^2 > zero_tol_rel * cap."""
-    if not zero_tol_rel > 0:
-        raise ValueError("zero_tol_rel must be > 0")
+def association_indicator(bf: BeamformerSet, power_cap_w: Sequence[float]) -> np.ndarray:
+    """Binary K x N matrix: link active iff ||w||^2 > _ZERO_TOL_REL * cap."""
     caps = np.asarray(power_cap_w, dtype=float)
     if caps.shape != (bf.w.shape[1],):
         raise ValueError("power_cap_w length must equal n_rrh")
     norms = np.sum(np.abs(bf.w) ** 2, axis=2)  # (K, N)
-    return (norms > zero_tol_rel * caps[None, :]).astype(int)
+    return (norms > _ZERO_TOL_REL * caps[None, :]).astype(int)
 
 
 def fronthaul_load(assoc: AssociationMap, per_user_rates: Sequence[float]) -> np.ndarray:
@@ -285,6 +275,9 @@ def save_channel_state(ch: ChannelState, path) -> None:
 def load_channel_state(path) -> ChannelState:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"channel-state file {path} must hold a JSON object, "
+                         f"not {type(doc).__name__}")
     for key in ("n_rrh", "n_users", "n_antennas", "noise_power_w", "h"):
         if key not in doc:
             raise ValueError(f"channel-state file missing field '{key}'")

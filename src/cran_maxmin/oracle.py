@@ -1,11 +1,13 @@
 """Exact optimum on tiny instances: a best-first search over associations.
 
-Every user-RRH association (2^(N*K) of them) is a candidate, scored with the
-min(wireless, fronthaul) combination rule of `SolveCache.evaluate`.  Three
-upper bounds that need no solve order the candidates and prune them:
+Every user-RRH association (of the 2^(N*K)) that serves every user is a
+candidate, scored with the min(wireless, fronthaul) combination rule of
+`SolveCache.evaluate`.  Three upper bounds that need no solve order the
+candidates and prune them:
 
 - the search's starting point: every max-min starts from the full
-  association's value with a little headroom, so none returns more;
+  association's value times `SolverTolerances.hint_headroom`, so none
+  returns more;
 - the fronthaul closed form gamma2, which caps gamma exactly;
 - the per-user interference-free SNR (`per_user_gamma_upper_bound`), with
   the same headroom for the root-finder's tolerance.
@@ -52,10 +54,10 @@ def _mask_to_association(mask: int, n_users: int, n_rrh: int) -> AssociationMap:
 
 
 def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
-                    tol: SolverTolerances = SolverTolerances(),
-                    require_all_served: bool = True
+                    tol: SolverTolerances = SolverTolerances()
                     ) -> Tuple[float, AssociationMap]:
-    """Best association over all 2^(N*K) of them, by best-first search.
+    """Best association that serves every user, over all 2^(N*K) of them,
+    by best-first search.
 
     Ties keep the first maximizer in row-major mask order, as a full
     enumeration would.  Refuses instances with more than MAX_ORACLE_LINKS
@@ -68,16 +70,15 @@ def exhaustive_best(ch: ChannelState, cfg: NetworkConfig,
     cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
     # the full association bounds every subset's wireless optimum
     full_gamma = cache.value(AssociationMap.full(cfg.n_rrh, cfg.n_users))
-    headroom = 1.0 + 10.0 * tol.bisection_rel_tol
-    hint = full_gamma * headroom
+    hint = full_gamma * tol.hint_headroom
     candidates = []
     for mask in range(1 << links):
         assoc = _mask_to_association(mask, cfg.n_users, cfg.n_rrh)
-        if require_all_served and assoc.unserved_users(cfg.n_users):
+        if assoc.unserved_users(cfg.n_users):
             continue
         bound = min(hint,
                     fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz),
-                    headroom * per_user_gamma_upper_bound(
+                    tol.hint_headroom * per_user_gamma_upper_bound(
                         ch, assoc, cfg.power_cap_w, cfg.noise_power_w))
         candidates.append((bound, mask, assoc))
     candidates.sort(key=lambda c: (-c[0], c[1]))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cran_maxmin.channels import GenConfig, generate_channels, generate_topology, \
-    noise_power, trial_seed
+from cran_maxmin.harness import ExperimentConfig, draw_trial
 from cran_maxmin.model import ChannelState
 
 
@@ -16,13 +15,11 @@ def random_channels(seed: int, n_users: int, n_rrh: int, n_antennas: int,
 
 
 def desk_instance(seed: int, n_rrh: int = 3, n_users: int = 6, n_antennas: int = 2):
-    """Realistic draw with the default geometry and noise model."""
-    gen = GenConfig()
-    sigma2 = noise_power(gen.noise_psd_dbm_hz, gen.noise_figure_db, 10e6)
-    topo = generate_topology(gen, n_rrh, n_users, trial_seed(seed, 0))
-    ch = generate_channels(topo, gen, n_antennas, trial_seed(seed, 1),
-                           noise_power_w=sigma2)
-    return topo, ch, sigma2
+    """Realistic draw with the default geometry and noise model over 10 MHz."""
+    cfg = ExperimentConfig(n_rrh=n_rrh, n_users=n_users, n_antennas=n_antennas,
+                           bandwidth_hz=10e6, seed=seed)
+    topo, ch = draw_trial(cfg, 0)
+    return topo, ch, cfg.noise_power_w()
 
 
 @pytest.fixture

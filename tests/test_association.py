@@ -88,14 +88,10 @@ class TestBottleneck:
 
 
 class TestCandidateLinks:
-    def test_guard_off_takes_all(self):
-        a = AssociationMap((frozenset([0, 1]), frozenset([0])))
-        assert candidate_links({0}, a, last_link_guard=False) == {(0, 0), (1, 0)}
-
     def test_guard_protects_last_link(self):
         a = AssociationMap((frozenset([0, 1]), frozenset([0])))
         # user 1 is served only by RRH 0
-        assert candidate_links({0}, a, last_link_guard=True) == {(0, 0)}
+        assert candidate_links({0}, a) == {(0, 0)}
 
     def test_empty_psi(self):
         a = AssociationMap.full(2, 2)
@@ -273,15 +269,6 @@ class TestRunAlgorithm1:
         ch = random_channels(7, 1, 1, 1)
         with pytest.raises(ValueError):
             run_algorithm1(ch, _netcfg(ch, 1.0, (1e6,)), TOL, selector="strongest")
-
-    def test_unguarded_loop_can_strand_users(self):
-        # with the guard off the loop may only stop once gamma1 collapses
-        _, ch, sigma2 = desk_instance(21)
-        cfg = _netcfg(ch, sigma2, (1e5,) * 3)  # extremely tight fronthaul
-        guarded = run_algorithm1(ch, cfg, TOL, last_link_guard=True)
-        unguarded = run_algorithm1(ch, cfg, TOL, last_link_guard=False)
-        assert len(unguarded.iterations) <= cfg.n_rrh * cfg.n_users + 1
-        assert guarded.final_gamma >= 0 and unguarded.final_gamma >= 0
 
 
 class TestBenchmark2:

@@ -577,3 +577,13 @@ def test_tolerances_validation():
         SolverTolerances(bisection_rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverTolerances(max_bisection_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bisection_rel_tol", 0),
+    ("cone_feas_tol", math.nan),
+    ("bisection_rel_tol", math.nan),
+])
+def test_bad_tolerance_names_its_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        SolverTolerances(**{field: value})

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cran_maxmin.channels import (
-    GenConfig,
     Topology,
     generate_channels,
     generate_topology,
@@ -16,27 +15,36 @@ from cran_maxmin.channels import (
     splitmix64,
     trial_seed,
 )
+from cran_maxmin.harness import ExperimentConfig
+
+CFG = ExperimentConfig()  # the default geometry and path loss
+
+
+def _pathloss(distance_m):
+    return pathloss_db(distance_m, CFG.pathloss_a_db, CFG.pathloss_b, CFG.min_distance_m)
+
+
+def _channels(topo, n_antennas, rng_seed, noise_power_w):
+    return generate_channels(_pathloss(topo.distances()), n_antennas, rng_seed,
+                             noise_power_w=noise_power_w)
 
 
 class TestDeterminism:
     def test_topology_reproducible(self):
-        cfg = GenConfig()
-        a = generate_topology(cfg, 3, 10, 42)
-        b = generate_topology(cfg, 3, 10, 42)
+        a = generate_topology(3, 10, CFG.radius_m, 42)
+        b = generate_topology(3, 10, CFG.radius_m, 42)
         np.testing.assert_array_equal(a.rrh_pos, b.rrh_pos)
         np.testing.assert_array_equal(a.user_pos, b.user_pos)
 
     def test_channels_reproducible(self):
-        cfg = GenConfig()
-        topo = generate_topology(cfg, 2, 4, 1)
-        a = generate_channels(topo, cfg, 3, 7, noise_power_w=1e-12)
-        b = generate_channels(topo, cfg, 3, 7, noise_power_w=1e-12)
+        topo = generate_topology(2, 4, CFG.radius_m, 1)
+        a = _channels(topo, 3, 7, noise_power_w=1e-12)
+        b = _channels(topo, 3, 7, noise_power_w=1e-12)
         np.testing.assert_array_equal(a.h, b.h)
 
     def test_different_seeds_differ(self):
-        cfg = GenConfig()
-        a = generate_topology(cfg, 2, 4, 1)
-        b = generate_topology(cfg, 2, 4, 2)
+        a = generate_topology(2, 4, CFG.radius_m, 1)
+        b = generate_topology(2, 4, CFG.radius_m, 2)
         assert not np.array_equal(a.user_pos, b.user_pos)
 
     def test_trial_seed_mixing(self):
@@ -48,28 +56,19 @@ class TestDeterminism:
 
 class TestTopology:
     def test_empty_user_list(self):
-        topo = generate_topology(GenConfig(), 2, 0, 3)
+        topo = generate_topology(2, 0, CFG.radius_m, 3)
         assert topo.user_pos.shape == (0, 2)
 
     def test_all_points_inside_disk(self):
-        topo = generate_topology(GenConfig(radius_m=500), 20, 200, 11)
+        topo = generate_topology(20, 200, 500, 11)
         assert (np.linalg.norm(topo.user_pos, axis=1) <= 500 + 1e-9).all()
         assert (np.linalg.norm(topo.rrh_pos, axis=1) <= 500 + 1e-9).all()
 
     def test_area_uniform_mean_distance(self):
         # mean distance from center of a uniform draw on a disk is 2R/3
-        topo = generate_topology(GenConfig(radius_m=500), 1, 10_000, 2024)
+        topo = generate_topology(1, 10_000, 500, 2024)
         mean = np.linalg.norm(topo.user_pos, axis=1).mean()
         assert abs(mean - 2.0 / 3.0 * 500) < 5.0
-
-    def test_ring_placement(self):
-        cfg = GenConfig(rrh_placement="ring", rrh_ring_frac=0.4)
-        topo = generate_topology(cfg, 4, 1, 5)
-        radii = np.linalg.norm(topo.rrh_pos, axis=1)
-        np.testing.assert_allclose(radii, 0.4 * 500.0, rtol=1e-12)
-        # deterministic: no randomness consumed for the ring itself
-        topo2 = generate_topology(cfg, 4, 1, 99)
-        np.testing.assert_array_equal(topo.rrh_pos, topo2.rrh_pos)
 
     def test_distances_shape(self):
         topo = Topology(np.zeros((2, 2)), np.array([[3.0, 4.0]]), 500.0)
@@ -78,38 +77,35 @@ class TestTopology:
 
 class TestPathloss:
     def test_reference_distance(self):
-        assert pathloss_db(GenConfig(), 1.0) == pytest.approx(30.6)
+        assert _pathloss(1.0) == pytest.approx(30.6)
 
     def test_ten_meters(self):
         # 30.6 + 36.7*log10(10) = 67.3 dB
-        assert pathloss_db(GenConfig(), 10.0) == pytest.approx(67.3)
+        assert _pathloss(10.0) == pytest.approx(67.3)
 
     def test_minimum_distance_guard(self):
-        assert pathloss_db(GenConfig(), 0.001) == pytest.approx(30.6)
+        assert _pathloss(0.001) == pytest.approx(30.6)
 
     def test_fading_mean_power_at_one_meter(self):
         # E||h||^2 = M * 10^(-3.06) at d = 1 m; one draw with 10^5 entries
-        cfg = GenConfig()
         topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), 500.0)
         M = 100_000
-        ch = generate_channels(topo, cfg, M, 77, noise_power_w=1.0)
+        ch = _channels(topo, M, 77, noise_power_w=1.0)
         mean_gain = np.mean(np.abs(ch.h[0, 0]) ** 2)
         assert mean_gain == pytest.approx(10 ** (-3.06), rel=0.02)
 
     def test_decay_with_distance(self):
         # gains drop by 10^(-3.67) per decade of distance
-        cfg = GenConfig()
         topo = Topology(np.array([[0.0, 0.0]]),
                         np.array([[10.0, 0.0], [100.0, 0.0]]), 500.0)
-        ch = generate_channels(topo, cfg, 100_000, 78, noise_power_w=1.0)
+        ch = _channels(topo, 100_000, 78, noise_power_w=1.0)
         g10 = np.mean(np.abs(ch.h[0, 0]) ** 2)
         g100 = np.mean(np.abs(ch.h[1, 0]) ** 2)
         assert g100 / g10 == pytest.approx(10 ** (-3.67), rel=0.05)
 
     def test_entries_uncorrelated(self):
-        cfg = GenConfig()
         topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), 500.0)
-        ch = generate_channels(topo, cfg, 200_000, 79, noise_power_w=1.0)
+        ch = _channels(topo, 200_000, 79, noise_power_w=1.0)
         g = ch.h[0, 0]
         pairs = [(g.real[0::2], g.real[1::2]),
                  (g.imag[0::2], g.imag[1::2]),
@@ -136,10 +132,8 @@ class TestNoisePower:
             noise_power(-169.0, 7.0, 0.0)
 
 
-def test_genconfig_validation():
+def test_geometry_validation():
     with pytest.raises(ValueError):
-        GenConfig(radius_m=0.0)
+        ExperimentConfig(radius_m=0.0)
     with pytest.raises(ValueError):
-        GenConfig(min_distance_m=0.0)
-    with pytest.raises(ValueError):
-        GenConfig(rrh_placement="grid")
+        ExperimentConfig(min_distance_m=0.0)

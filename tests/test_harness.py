@@ -74,9 +74,8 @@ class TestExperimentConfig:
             tiny_config(tx_power_dbm=[30.0]).power_caps_w()
 
     @pytest.mark.parametrize("field, value", [
-        ("rrh_placement", "grid"),
+        ("radius_m", 0),
         ("min_distance_m", 0),
-        ("bisection_rel_tol", 0),
         ("tx_power_dbm", [30.0, 30.0]),
         ("fronthaul_cap_bps", [1e7, 1e7]),
         ("fronthaul_sweep_bps", [-1.0, 2.0]),
@@ -91,8 +90,6 @@ class TestExperimentConfig:
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("field, value", [
-        ("cone_feas_tol", math.nan),
-        ("bisection_rel_tol", math.nan),
         ("trials", "x"),
         ("trials", 2.5),
         ("tx_power_dbm", "abc"),
@@ -105,6 +102,53 @@ class TestExperimentConfig:
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: "):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("fronthaul_sweep_bps", [math.nan]),
+        ("fronthaul_sweep_bps", [5e6, math.nan]),
+        ("fronthaul_cap_bps", math.nan),
+        ("fronthaul_cap_bps", [1e7, math.nan, 1e7]),
+        ("tx_power_dbm", math.nan),
+        ("tx_power_dbm", [30.0, math.inf, 30.0]),
+        ("bandwidth_hz", math.inf),
+        ("noise_psd_dbm_hz", math.nan),
+        ("noise_figure_db", math.nan),
+        ("radius_m", math.inf),
+        ("pathloss_a_db", math.nan),
+        ("pathloss_b", -math.inf),
+        ("min_distance_m", math.inf),
+    ])
+    def test_non_finite_number_names_its_field(self, field, value, tmp_path):
+        # JSON reads NaN and Infinity; only a fronthaul capacity may be +inf
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            ExperimentConfig(n_rrh=3, **{field: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_rrh": 3, field: value}))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            ExperimentConfig.from_json(path)
+
+    def test_infinite_fronthaul_is_no_limit(self):
+        cfg = tiny_config(fronthaul_sweep_bps=[8e6, math.inf], fronthaul_cap_bps=math.inf)
+        assert cfg.network_config(cfg.fronthaul_sweep_bps[-1]).fronthaul_cap_bps == \
+            (math.inf, math.inf)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rrh_placement", "uniform"),
+        ("rrh_ring_frac", 0.5),
+        ("redraw", "both"),
+        ("bisection_rel_tol", 1e-4),
+        ("cone_feas_tol", 1e-7),
+        ("max_bisection_iters", 60),
+    ])
+    def test_removed_field_is_refused(self, field, value, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY, **{field: value})))
+        with pytest.raises(ConfigError, match=f"unknown config fields: \\['{field}'\\]"):
+            ExperimentConfig.from_json(path)
+        assert cli_main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "o.csv")]) == 1
+        assert "unknown config fields" in capsys.readouterr().err
 
     def test_network_config_from_scalar_fronthaul(self):
         cfg = tiny_config()
@@ -283,14 +327,13 @@ class TestCli:
         ch = load_channel_state(out)
         assert (ch.n_users, ch.n_rrh, ch.n_antennas) == (3, 2, 2)
 
-    @pytest.mark.parametrize("redraw", ["both", "fading"])
-    def test_gen_channels_is_trial_0(self, tmp_path, capsys, redraw):
-        cfg = self._config_file(tmp_path, redraw=redraw)
+    def test_gen_channels_is_trial_0(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path)
         out = tmp_path / "chan.json"
         cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
                   "--out", str(out)])
         ch = load_channel_state(out)
-        _, expected = draw_trial(tiny_config(redraw=redraw, seed=3), 0)
+        _, expected = draw_trial(tiny_config(seed=3), 0)
         assert np.array_equal(ch.h, expected.h)
         assert ch.noise_power_w == expected.noise_power_w
 
@@ -371,6 +414,24 @@ class TestCli:
         assert cli_main(command + ["--channels", str(chan), "--config", str(cfg_bad)]) == 1
         assert "channel file is K=3 N=2 M=2, config says K=4 N=2 M=2" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", '[["n_rrh", 2]]', '"n_rrh"', "null"])
+    @pytest.mark.parametrize("kind", ["config", "channels"])
+    def test_file_not_an_object_is_one_error_line(self, tmp_path, capsys, kind, text):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(chan)])
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        files = {"config": cfg, "channels": chan, kind: bad}
+        code = cli_main(["solve", "--scheme", "alg1", "--channels", str(files["channels"]),
+                         "--config", str(files["config"])])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.json must hold a JSON object" in err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert cli_main(["sweep", "--bogus"]) == 1

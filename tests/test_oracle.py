@@ -42,11 +42,12 @@ def reference_values(ch, cfg):
     return hint, out
 
 
-def reference_best(values, n_users, require_all_served=True):
-    """The 2^(N*K) enumeration: the first maximizer in mask order."""
+def reference_best(values, n_users):
+    """The 2^(N*K) enumeration: the first maximizer in mask order among the
+    associations that serve every user."""
     best_gamma, best_assoc = -1.0, None
     for assoc, gamma in values:
-        if require_all_served and assoc.unserved_users(n_users):
+        if assoc.unserved_users(n_users):
             continue
         if gamma > best_gamma:
             best_gamma, best_assoc = gamma, assoc
@@ -147,15 +148,6 @@ class TestExhaustiveBest:
         with pytest.raises(ValueError, match="12"):
             exhaustive_best(ch, cfg, TOL)
 
-    def test_unserved_maps_admitted_when_flag_off(self):
-        ch = random_channels(7, 1, 1, 1)
-        cfg = _netcfg(ch, 1.0, (5e6,))
-        g_on, a_on = exhaustive_best(ch, cfg, TOL, require_all_served=True)
-        g_off, a_off = exhaustive_best(ch, cfg, TOL, require_all_served=False)
-        # the unserved map scores zero, so the optimum is unchanged
-        assert g_on == pytest.approx(g_off, rel=1e-9)
-        assert a_on.omega == a_off.omega
-
     def test_each_association_solved_once(self, monkeypatch):
         # the full association is solved first, for the hint; no association
         # twice; and the bounds spare some of the 3^3 = 27 that serve every user
@@ -201,12 +193,6 @@ class TestEqualsEnumeration:
     def test_all_served(self, name):
         ch, cfg, _, values = _reference(name)
         assert exhaustive_best(ch, cfg, TOL) == reference_best(values, cfg.n_users)
-
-    @pytest.mark.parametrize("name", ONE_PER_SHAPE)
-    def test_unserved_admitted(self, name):
-        ch, cfg, _, values = _reference(name)
-        assert exhaustive_best(ch, cfg, TOL, require_all_served=False) == \
-            reference_best(values, cfg.n_users, require_all_served=False)
 
     @pytest.mark.parametrize("name", ONE_PER_SHAPE)
     def test_every_value_within_its_bounds(self, name):
