@@ -27,12 +27,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState
-from cran_maxmin.socp import ConeSpec, solve_socp
+from cran_maxmin.socp import ConeSpec, CooMatrix, solve_socp
 
 _log = logging.getLogger(__name__)
 
@@ -113,12 +113,28 @@ def per_user_gamma_upper_bound(ch: ChannelState, assoc: AssociationMap, power_ca
     return float(np.min((norms @ caps) ** 2) / noise_power_w)
 
 
+class _Template(NamedTuple):
+    """One cone program at gamma = 1.  G's entries flagged in scaled (those
+    on the interference rows, tail_rows) and h's noise_rows scale with
+    sqrt(gamma)."""
+
+    G: CooMatrix
+    scaled: np.ndarray
+    h: np.ndarray
+    tail_rows: np.ndarray
+    noise_rows: np.ndarray
+    spec: ConeSpec
+
+
 class _BeamProblem:
     """Cone-program templates for one (channels, association, caps) triple.
 
     The interference rows scale with sqrt(gamma), everything else is fixed,
-    so a max-min search reuses one template across all its probes.  Each
-    public operation builds one first, as the only check of its inputs.
+    so a max-min search reuses one template across all its probes.  A
+    template's G is built straight into sorted COO form (`CooMatrix`),
+    vectorized over the links, and each probe scales only its flagged
+    entries: no dense G is formed, copied or scanned.  Each public
+    operation builds a problem first, as the only check of its inputs.
     """
 
     def __init__(self, ch: ChannelState, assoc: AssociationMap, power_cap_w,
@@ -138,89 +154,104 @@ class _BeamProblem:
         self.unserved = bool(assoc.unserved_users(self.K))
         self.pairs = [(k, n) for k in range(self.K) for n in range(self.N)
                       if k in assoc.omega[n]]
-        self.col = {pair: 1 + 2 * self.M * i for i, pair in enumerate(self.pairs)}
         self.nx = 1 + 2 * self.M * len(self.pairs)
-        self.serving = [sorted(assoc.serving_rrhs(k)) for k in range(self.K)]
-        self.by_rrh = [sorted(assoc.omega[n]) for n in range(self.N)]
         self._margin = None  # templates are built on demand
         self._power = None
 
     # -- template construction --------------------------------------------
-    def _build(self, margin: bool):
-        K, N, M = self.K, self.N, self.M
-        dims = []
-        nrows = K * (2 + 2 * (K - 1))
-        for n in range(N):
-            if self.by_rrh[n]:
-                nrows += 1 + 2 * M * len(self.by_rrh[n])
-        if not margin:
-            nrows += 1 + 2 * M * len(self.pairs)
-        G = np.zeros((nrows, self.nx))
+    def _build(self, margin: bool) -> _Template:
+        """The margin (or power) program's constraints at gamma = 1, as sorted
+        COO entries.  Rows, cone by cone: per user k a SINR cone (head: own
+        signal, plus the margin; two interference rows per other user; the
+        noise row), per serving RRH a power cone (head: sqrt(cap), plus the
+        margin; -I on its links), and for power-min the total-power cone
+        (head: -1 on column 0; -I on every link).
+
+        Each entry is generated with its row, column and rank within its
+        row; the row lengths then give each entry's place in row-major
+        order.  No sort and no integer comparison is used: in a process that
+        stays on the dense Newton path nothing else runs those numpy loops,
+        and their code pages alone added about 0.5 MB to its peak RSS."""
+        K, N, nx = self.K, self.N, self.nx
+        width = 2 * self.M
+        span = np.arange(width)
+        pk, pn = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        pcol = 1 + width * np.arange(len(pk))[:, None] + span  # (P, 2M)
+        linked = np.zeros((K, N), dtype=np.intp)
+        linked[pk, pn] = 1
+        parts = []  # ((rows, cols, ranks), vals) of each block of entries
+
+        def add(rows, cols, vals, ranks=0):
+            idx = np.empty((3,) + np.broadcast(rows, cols).shape, dtype=np.intp)
+            idx[0], idx[1], idx[2] = rows, cols, ranks
+            val = np.empty(idx.shape[1:])
+            val[...] = vals
+            parts.append((idx.reshape(3, -1), val.ravel()))
+
+        # SINR cones: user k's head row is 2Kk; user j's links enter rows
+        # 2Kk + 1 + 2 * (j's rank among the users other than k) and + 1.  A
+        # row's link columns are contiguous, from user j's first link on.
+        slot = np.array([[0 if j == k else 1 + 2 * (j - (j > k)) for j in range(K)]
+                         for k in range(K)], dtype=np.intp)
+        users = np.arange(K)[:, None]
+        own = np.eye(K, dtype=np.intp)[:, pk]  # (K, P): 1 if pair p is user k's link
+        row = 2 * K * users + slot[:, pk]
+        hv = self.hs[:, pn]  # (K, P, M): user k's channel from pair p's RRH
+        links = linked.sum(axis=1)
+        first_col = 1 + width * (np.cumsum(links) - links)
+        rank = pcol - first_col[pk][:, None]
+        add(row[:, :, None], pcol, np.concatenate((-hv.real, -hv.imag), axis=2),
+            rank + own[:, :, None] if margin else rank)  # the margin leads a head row
+        cross = np.nonzero(1 - own)
+        add(row[cross][:, None] + 1, pcol[cross[1]],
+            np.concatenate((hv.imag, -hv.real), axis=2)[cross], rank[cross[1]])
+
+        # power cones: pair (k, n) is the pos-th link of RRH n, by user
+        served = linked.sum(axis=0)
+        active = np.flatnonzero(served)  # a power cone per serving RRH
+        size = width * served
+        size[active] += 1
+        start = 2 * K * K + np.cumsum(size) - size
+        pos = (np.cumsum(linked, axis=0) - 1)[pk, pn]
+        add((start[pn] + 1 + width * pos)[:, None] + span, pcol, -1.0)
+        dims = [2 * K] * K + size[active].tolist()
+        nrows = 2 * K * K + int(size.sum())
+
+        if margin:
+            add(np.concatenate((2 * K * np.arange(K), start[active])), 0, 1.0)
+        else:
+            diag = np.arange(nx)  # (head, 0) and the -I below it
+            add(nrows + diag, diag, -1.0)
+            dims.append(nx)
+            nrows += nx
+
+        (rows, cols, ranks), vals = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        length = np.bincount(rows, minlength=nrows)
+        order = np.empty_like(rows)
+        order[(np.cumsum(length) - length)[rows] + ranks] = np.arange(len(rows))
+        order = order[vals[order] != 0.0]
+        row = rows[order]
         h = np.zeros(nrows)
-        tail_rows, noise_rows = [], []
+        noise_rows = 2 * K * np.arange(K) + 2 * K - 1
+        h[noise_rows] = 1.0  # scaled noise amplitude; times sqrt(gamma) per probe
+        h[start[active]] = np.sqrt(self.caps[active])
+        tail_rows = (2 * K * users + np.arange(1, 2 * K - 1)).ravel()
+        on_tail = np.zeros(nrows, dtype=bool)
+        on_tail[tail_rows] = True
+        return _Template(CooMatrix(row, cols[order], vals[order], (nrows, nx)), on_tail[row],
+                         h, tail_rows, noise_rows, ConeSpec(dims))
 
-        r = 0
-        for k in range(K):
-            head = r
-            for n in self.serving[k]:
-                off = self.col[(k, n)]
-                hv = self.hs[k, n]
-                G[head, off:off + M] = -hv.real
-                G[head, off + M:off + 2 * M] = -hv.imag
-            if margin:
-                G[head, 0] = 1.0
-            r += 1
-            for j in range(K):
-                if j == k:
-                    continue
-                for n in self.serving[j]:
-                    off = self.col[(j, n)]
-                    hv = self.hs[k, n]
-                    G[r, off:off + M] = -hv.real
-                    G[r, off + M:off + 2 * M] = -hv.imag
-                    G[r + 1, off:off + M] = hv.imag
-                    G[r + 1, off + M:off + 2 * M] = -hv.real
-                tail_rows.extend((r, r + 1))
-                r += 2
-            h[r] = 1.0  # scaled noise amplitude; multiplied by sqrt(gamma) per probe
-            noise_rows.append(r)
-            r += 1
-            dims.append(r - head)
-
-        for n in range(N):
-            if not self.by_rrh[n]:
-                continue
-            head = r
-            h[head] = math.sqrt(self.caps[n])
-            if margin:
-                G[head, 0] = 1.0
-            r += 1
-            for k in self.by_rrh[n]:
-                off = self.col[(k, n)]
-                G[r:r + 2 * M, off:off + 2 * M] = -np.eye(2 * M)
-                r += 2 * M
-            dims.append(r - head)
-
-        if not margin:
-            head = r
-            G[head, 0] = -1.0
-            r += 1
-            G[r:r + self.nx - 1, 1:] = -np.eye(self.nx - 1)
-            r += self.nx - 1
-            dims.append(r - head)
-
-        assert r == nrows
-        return G, h, np.asarray(tail_rows, dtype=np.intp), \
-            np.asarray(noise_rows, dtype=np.intp), ConeSpec(dims)
-
-    def _instantiate(self, template, gamma: float):
-        G, h, tail_rows, noise_rows, spec = template
-        sq = math.sqrt(gamma)
-        G2 = G.copy()
-        G2[tail_rows] *= sq
-        h2 = h.copy()
-        h2[noise_rows] *= sq
-        return G2, h2, spec
+    def _instantiate(self, template: _Template, gamma: float):
+        """(G, h, spec) at SINR target gamma: the interference entries and the
+        noise amplitude times sqrt(gamma).  An entry that becomes exactly 0
+        (gamma = 0, or an underflow) is dropped, as `CooMatrix` requires."""
+        G, sq = template.G, math.sqrt(gamma)
+        val = G.val.copy()
+        val[template.scaled] *= sq
+        keep = val != 0.0
+        h = template.h.copy()
+        h[template.noise_rows] *= sq
+        return CooMatrix(G.row[keep], G.col[keep], val[keep], G.shape), h, template.spec
 
     def zeros(self) -> BeamformerSet:
         return BeamformerSet.zeros(self.K, self.N, self.M)
@@ -255,7 +286,7 @@ class _BeamProblem:
             return FeasibilityOutcome("indeterminate", None, stats)
         if gamma > 0.0:
             # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
-            _, _, tail, noise, _ = self._margin
+            tail, noise = self._margin.tail_rows, self._margin.noise_rows
             stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
         if margin >= -tol.cone_feas_tol:
             return FeasibilityOutcome("feasible", self.unpack(res.x), stats)

@@ -134,6 +134,8 @@ class ExperimentConfig:
                 doc = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, no permission, ...
+            raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(doc, dict):

@@ -8,6 +8,7 @@ mutate their inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -273,16 +274,30 @@ def save_channel_state(ch: ChannelState, path) -> None:
 
 
 def load_channel_state(path) -> ChannelState:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:  # missing, a directory, no permission, ...
+        raise ValueError(f"channel-state file {path} cannot be read: {exc.strerror}")
     if not isinstance(doc, dict):
         raise ValueError(f"channel-state file {path} must hold a JSON object, "
                          f"not {type(doc).__name__}")
     for key in ("n_rrh", "n_users", "n_antennas", "noise_power_w", "h"):
         if key not in doc:
             raise ValueError(f"channel-state file missing field '{key}'")
-    arr = np.asarray(doc["h"], dtype=float)
+    for key in ("n_rrh", "n_users", "n_antennas"):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{key}: must be a positive integer, got {value!r}")
+    noise = doc["noise_power_w"]
+    if not isinstance(noise, (int, float)) or isinstance(noise, bool) \
+            or not 0.0 < noise < math.inf:  # NaN fails too
+        raise ValueError(f"noise_power_w: must be a finite number > 0, got {noise!r}")
+    try:
+        arr = np.asarray(doc["h"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("h: must be a nested list of numbers") from None
     expected = (doc["n_users"], doc["n_rrh"], doc["n_antennas"], 2)
     if arr.shape != expected:
-        raise ValueError(f"h has shape {arr.shape}, expected {expected}")
-    return ChannelState(arr[..., 0] + 1j * arr[..., 1], float(doc["noise_power_w"]))
+        raise ValueError(f"h: has shape {arr.shape}, expected {expected}")
+    return ChannelState(arr[..., 0] + 1j * arr[..., 1], float(noise))

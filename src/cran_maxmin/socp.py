@@ -13,14 +13,19 @@ and a Mehrotra predictor-corrector step.  It supports nothing beyond the
 form above: no free rows, no equality constraints.  Its stopping rule is
 fixed by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
 
+G is passed either dense or as a `CooMatrix`: its nonzero entries, sorted
+row-major, the form the beamforming templates are built in.  A dense G is
+converted once on entry, so the solver reads G in one form only.
+
 G must have full column rank (every variable must enter some cone row);
 the reduced Newton matrix G' W^-2 G is then positive definite, and one
 factorization per iteration serves all three of its solves.  It is solved
 one of two ways, picked from the shape of G (see `_newton_system`):
-programs under `_BLOCK_MIN_COLS` variables form it from W^-1 G and factor it
-whole; larger ones whose tail rows split the columns into small blocks (the
-beamforming templates: one block per user) solve it as a block-diagonal
-matrix plus low-rank cone-head terms, on a sparse G, without forming it.
+programs under `_BLOCK_MIN_COLS` variables densify G, form the matrix from
+W^-1 G and factor it whole; larger ones whose tail rows split the columns
+into small blocks (the beamforming templates: one block per user) solve it
+as a block-diagonal matrix plus low-rank cone-head terms, read straight off
+the entries of G, without forming it.
 
 The per-iteration cone kernels are written as few numpy calls: W^-1 applies
 V(Jw) = V(w)^-1 through the same code as W, and `ConeSpec.max_step` takes s
@@ -30,6 +35,7 @@ and z (and their directions) stacked as rows, so one call bounds the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
@@ -41,6 +47,26 @@ _FEASTOL = 1e-8
 _ABSTOL = 1e-9
 _RELTOL = 1e-8
 _MAX_ITERS = 100
+
+
+class CooMatrix(NamedTuple):
+    """A matrix as its nonzero entries (row[i], col[i]) = val[i], sorted
+    row-major (the order `np.nonzero` gives) and holding no exact zero."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "CooMatrix":
+        row, col = np.nonzero(A)
+        return cls(row, col, A[row, col], A.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row, self.col] = self.val
+        return out
 
 
 class ConeSpec:
@@ -227,7 +253,8 @@ class _DenseNewton:
 
 class _BlockNewton:
     """The reduced Newton matrix solved through its structure; G stays sparse
-    and unscaled.
+    and unscaled.  G, the cone-head matrix and the blocks are all built from
+    the entries of a `CooMatrix`; no dense copy of G is formed.
 
     Per cone, with head row g, tail rows T and u = G_i' J w,
         G_i' W_i^-2 G_i = eta^-2 (T'T + 2 u u' - g g').
@@ -246,22 +273,21 @@ class _BlockNewton:
 
     _MAX_REFINE = 8
 
-    def __init__(self, G: np.ndarray, spec: ConeSpec):
+    def __init__(self, G: CooMatrix, spec: ConeSpec):
         # imported here: programs that stay on the dense path never load
         # scipy.sparse, which adds about 5 MB to a process
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        m, n = G.shape
+        (m, n), row, col, val = G.shape, G.row, G.col, G.val
         self.spec, self.n = spec, n
-        row, col = np.nonzero(G)
-        val = G[row, col]
         self.G = csr_matrix((val, (row, col)), shape=(m, n))
         self.GT = csr_matrix((val, (col, row)), shape=(n, m))
-        self.H = G[spec.heads].T.copy()
-        tail = np.ones(m, dtype=bool)
-        tail[spec.heads] = False
-        tail = tail[row]
+        cone = spec.block_ids[row]
+        head = spec.heads[cone] == row
+        self.H = np.zeros((n, spec.nblocks))
+        self.H[col[head], cone[head]] = val[head]
+        tail = ~head
         trow, tcol, tval = row[tail], col[tail], val[tail]
         # columns joined through a tail row share a block: components of the
         # bipartite column-row graph
@@ -364,7 +390,7 @@ def _slots(group: np.ndarray):
     return pos, len(sizes), int(sizes.max(initial=0))
 
 
-def _newton_system(G: np.ndarray, spec: ConeSpec):
+def _newton_system(G: CooMatrix, spec: ConeSpec):
     """The block solver when G is large and neither its widest block nor its
     low-rank part spans more than a quarter of its columns; else the dense
     one."""
@@ -373,7 +399,7 @@ def _newton_system(G: np.ndarray, spec: ConeSpec):
         newton = _BlockNewton(G, spec)
         if max(newton.width, newton.rank) <= n // 4:
             return newton
-    return _DenseNewton(G)
+    return _DenseNewton(G.toarray())
 
 
 @dataclass
@@ -400,9 +426,11 @@ class SocpResult:
     relgap: float
 
 
-def solve_socp(c: np.ndarray, G: np.ndarray, h: np.ndarray, dims) -> SocpResult:
+def solve_socp(c: np.ndarray, G, h: np.ndarray, dims) -> SocpResult:
+    """Solve the program (c, G, h, K); G is a `CooMatrix` or dense."""
     spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
-    G = np.ascontiguousarray(G, dtype=float)
+    if not isinstance(G, CooMatrix):
+        G = CooMatrix.from_dense(np.asarray(G, dtype=float))
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
     m, n = G.shape

@@ -433,6 +433,23 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad.json must hold a JSON object" in err
 
+    @pytest.mark.parametrize("kind", ["config", "channels"])
+    def test_directory_path_is_one_error_line(self, tmp_path, capsys, kind):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
+                  "--out", str(chan)])
+        capsys.readouterr()
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        files = {"config": cfg, "channels": chan, kind: folder}
+        code = cli_main(["solve", "--scheme", "alg1", "--channels", str(files["channels"]),
+                         "--config", str(files["config"])])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{folder} cannot be read" in err
+
     def test_unknown_flag_exit_1(self, capsys):
         assert cli_main(["sweep", "--bogus"]) == 1
 

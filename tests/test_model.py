@@ -242,3 +242,27 @@ class TestChannelFile:
             "h": [[[[1.0, 0.0]]]]}))
         with pytest.raises(ValueError, match="shape"):
             load_channel_state(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_power_w", None), ("noise_power_w", "1e-13"), ("noise_power_w", 0.0),
+        ("noise_power_w", -1.0), ("noise_power_w", float("inf")),
+        ("noise_power_w", float("nan")), ("noise_power_w", True),
+        ("n_users", "3"), ("n_users", 0), ("n_users", 3.0), ("n_rrh", None),
+        ("n_rrh", True), ("n_antennas", -2)])
+    def test_bad_number_field_is_named(self, tmp_path, field, value):
+        path = tmp_path / "chan.json"
+        save_channel_state(ChannelState(np.ones((3, 1, 2), complex), 1.0), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            load_channel_state(path)
+
+    def test_entries_of_h_that_are_not_numbers_are_named(self, tmp_path):
+        path = tmp_path / "chan.json"
+        save_channel_state(ChannelState(np.ones((1, 1, 1), complex), 1.0), path)
+        doc = json.loads(path.read_text())
+        doc["h"] = [[[["one", 0.0]]]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^h: "):
+            load_channel_state(path)

@@ -56,7 +56,7 @@ FIXTURES = _fixtures()
 
 
 def program(name, margin, share):
-    """(c, G, h, spec) of a template at share * the max-min optimum."""
+    """(c, G, h, spec) of a template at share * the max-min optimum, G dense."""
     ch, assoc, noise = FIXTURES[name]
     caps = np.ones(ch.n_rrh)
     gamma = share * solve_max_min(ch, assoc, caps, noise)[0] if share else 0.0
@@ -64,7 +64,7 @@ def program(name, margin, share):
     G, h, spec = prob._instantiate(prob._build(margin), gamma)
     c = np.zeros(prob.nx)
     c[0] = -1.0 if margin else 1.0
-    return c, G, h, spec
+    return c, G.toarray(), h, spec
 
 
 CASES = [(name, True, share) for name in FIXTURES for share in (0.0, 0.5, 1.0)] + \
@@ -77,12 +77,17 @@ def solve(monkeypatch, newton, c, G, h, spec):
         return socp.solve_socp(c, G, h, spec)
 
 
+def coo(G):
+    """G as the solver holds it, from a dense G or a CooMatrix."""
+    return G if isinstance(G, socp.CooMatrix) else socp.CooMatrix.from_dense(G)
+
+
 def dense(G, spec):
-    return socp._DenseNewton(G)
+    return socp._DenseNewton(coo(G).toarray())
 
 
 def block(G, spec):
-    return socp._BlockNewton(G, spec)
+    return socp._BlockNewton(coo(G), spec)
 
 
 def relaxed(res):
