@@ -152,61 +152,43 @@ class _BeamProblem:
         self.hs = ch.h / math.sqrt(noise_power_w)
         self.caps = caps
         self.unserved = bool(assoc.unserved_users(self.K))
-        self.pairs = [(k, n) for k in range(self.K) for n in range(self.N)
-                      if k in assoc.omega[n]]
-        self.nx = 1 + 2 * self.M * len(self.pairs)
+        # the links (user pk[p], RRH pn[p]), row-major; link p owns columns
+        # 1 + 2M p .. 2M (p + 1): its beamformer's real, then imaginary parts
+        self.pk, self.pn = np.nonzero(assoc.indicator(self.K))
+        self.nx = 1 + 2 * self.M * len(self.pk)
         self._margin = None  # templates are built on demand
         self._power = None
 
     # -- template construction --------------------------------------------
     def _build(self, margin: bool) -> _Template:
-        """The margin (or power) program's constraints at gamma = 1, as sorted
-        COO entries.  Rows, cone by cone: per user k a SINR cone (head: own
-        signal, plus the margin; two interference rows per other user; the
-        noise row), per serving RRH a power cone (head: sqrt(cap), plus the
-        margin; -I on its links), and for power-min the total-power cone
-        (head: -1 on column 0; -I on every link).
-
-        Each entry is generated with its row, column and rank within its
-        row; the row lengths then give each entry's place in row-major
-        order.  No sort and no integer comparison is used: in a process that
-        stays on the dense Newton path nothing else runs those numpy loops,
-        and their code pages alone added about 0.5 MB to its peak RSS."""
+        """The margin (or power) program at gamma = 1; one lexsort orders its COO entries."""
         K, N, nx = self.K, self.N, self.nx
+        pk, pn = self.pk, self.pn
         width = 2 * self.M
         span = np.arange(width)
-        pk, pn = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
         pcol = 1 + width * np.arange(len(pk))[:, None] + span  # (P, 2M)
         linked = np.zeros((K, N), dtype=np.intp)
         linked[pk, pn] = 1
-        parts = []  # ((rows, cols, ranks), vals) of each block of entries
+        parts = []  # (rows, cols, vals) of each block of entries
 
-        def add(rows, cols, vals, ranks=0):
-            idx = np.empty((3,) + np.broadcast(rows, cols).shape, dtype=np.intp)
-            idx[0], idx[1], idx[2] = rows, cols, ranks
-            val = np.empty(idx.shape[1:])
-            val[...] = vals
-            parts.append((idx.reshape(3, -1), val.ravel()))
+        def add(rows, cols, vals):
+            parts.append([a.ravel() for a in np.broadcast_arrays(rows, cols, vals)])
 
-        # SINR cones: user k's head row is 2Kk; user j's links enter rows
-        # 2Kk + 1 + 2 * (j's rank among the users other than k) and + 1.  A
-        # row's link columns are contiguous, from user j's first link on.
+        # SINR cones, one per user k: its head row 2Kk (own signal, plus the
+        # margin), two interference rows per other user j, 2Kk + 1 + 2 * (j's
+        # rank among the users other than k) and + 1, and the noise row
         slot = np.array([[0 if j == k else 1 + 2 * (j - (j > k)) for j in range(K)]
-                         for k in range(K)], dtype=np.intp)
+                         for k in range(K)], dtype=np.intp)[:, pk]  # (K, P)
         users = np.arange(K)[:, None]
-        own = np.eye(K, dtype=np.intp)[:, pk]  # (K, P): 1 if pair p is user k's link
-        row = 2 * K * users + slot[:, pk]
+        row = 2 * K * users + slot
         hv = self.hs[:, pn]  # (K, P, M): user k's channel from pair p's RRH
-        links = linked.sum(axis=1)
-        first_col = 1 + width * (np.cumsum(links) - links)
-        rank = pcol - first_col[pk][:, None]
-        add(row[:, :, None], pcol, np.concatenate((-hv.real, -hv.imag), axis=2),
-            rank + own[:, :, None] if margin else rank)  # the margin leads a head row
-        cross = np.nonzero(1 - own)
+        add(row[:, :, None], pcol, np.concatenate((-hv.real, -hv.imag), axis=2))
+        cross = np.nonzero(slot)
         add(row[cross][:, None] + 1, pcol[cross[1]],
-            np.concatenate((hv.imag, -hv.real), axis=2)[cross], rank[cross[1]])
+            np.concatenate((hv.imag, -hv.real), axis=2)[cross])
 
-        # power cones: pair (k, n) is the pos-th link of RRH n, by user
+        # power cones, one per serving RRH: head sqrt(cap) plus the margin,
+        # -I on its links; pair (k, n) is the pos-th link of RRH n, by user
         served = linked.sum(axis=0)
         active = np.flatnonzero(served)  # a power cone per serving RRH
         size = width * served
@@ -220,15 +202,13 @@ class _BeamProblem:
         if margin:
             add(np.concatenate((2 * K * np.arange(K), start[active])), 0, 1.0)
         else:
-            diag = np.arange(nx)  # (head, 0) and the -I below it
+            diag = np.arange(nx)  # total-power cone: (head, 0) and -I below it
             add(nrows + diag, diag, -1.0)
             dims.append(nx)
             nrows += nx
 
-        (rows, cols, ranks), vals = (np.concatenate(a, axis=-1) for a in zip(*parts))
-        length = np.bincount(rows, minlength=nrows)
-        order = np.empty_like(rows)
-        order[(np.cumsum(length) - length)[rows] + ranks] = np.arange(len(rows))
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        order = np.lexsort((cols, rows))
         order = order[vals[order] != 0.0]
         row = rows[order]
         h = np.zeros(nrows)
@@ -258,9 +238,8 @@ class _BeamProblem:
 
     def unpack(self, x: np.ndarray) -> BeamformerSet:
         w = np.zeros((self.K, self.N, self.M), dtype=np.complex128)
-        for i, (k, n) in enumerate(self.pairs):
-            seg = x[1 + 2 * self.M * i: 1 + 2 * self.M * (i + 1)]
-            w[k, n] = seg[:self.M] + 1j * seg[self.M:]
+        seg = x[1:].reshape(-1, 2, self.M)  # per link: real, imaginary parts
+        w[self.pk, self.pn] = seg[:, 0] + 1j * seg[:, 1]
         # rotate each user's stack so the aggregate gain is real nonnegative
         sig = np.einsum("knm,knm->k", self.ch.h.conj(), w)
         for k in range(self.K):

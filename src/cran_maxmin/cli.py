@@ -23,7 +23,6 @@ from cran_maxmin.harness import (  # noqa: E402
     ConfigError,
     ExperimentConfig,
     draw_trial,
-    run_scheme,
     run_sweep,
     to_db,
     write_csv,
@@ -89,7 +88,7 @@ def _load_instance(args):
 
 def _cmd_solve(args) -> int:
     cfg, ch, netcfg = _load_instance(args)
-    report = run_scheme(args.scheme, ch, netcfg, cfg.tolerances())
+    report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), None, None)
     for rec in report.iterations:
         removed = "-" if rec.removed_user is None \
             else f"({rec.removed_user},{rec.removed_rrh})"
@@ -107,6 +106,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    # refuse an output path that cannot be written before the first trial;
+    # append mode creates the file if need be and truncates nothing
+    with open(args.out, "a", encoding="utf-8"):
+        pass
     rows, aggregates = run_sweep(cfg, args.threads)
     write_csv(args.out, rows, aggregates, timing=args.timing)
     print(f"wrote {args.out}: {len(rows)} rows, {len(aggregates)} aggregates")

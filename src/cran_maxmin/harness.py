@@ -179,12 +179,6 @@ class ExperimentConfig:
         return self.fronthaul_sweep_bps[0]
 
 
-def run_scheme(scheme: str, ch, netcfg, tol, topology=None, cache=None):
-    if scheme not in RUNNERS:
-        raise ConfigError(f"scheme: unknown scheme '{scheme}'")
-    return RUNNERS[scheme](ch, netcfg, tol, topology, cache)
-
-
 def draw_trial(cfg: ExperimentConfig, trial: int):
     """Topology and channels for one trial: the topology from sub-seed
     2 trial, the fading from sub-seed 2 trial + 1."""
@@ -209,7 +203,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
         for scheme in cfg.schemes:
             start = time.perf_counter()
             try:
-                report = run_scheme(scheme, ch, netcfg, tol, topo, cache)
+                report = RUNNERS[scheme](ch, netcfg, tol, topo, cache)
                 gamma = report.final_gamma
                 iters = len(report.iterations)
                 status = "ok"

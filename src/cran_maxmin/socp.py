@@ -201,6 +201,10 @@ class _Scaling:
 
 # Programs with fewer variables than this factor G' W^-2 G whole: below it
 # the block solver's extra numpy calls cost more than the dense kernels.
+# Forced onto desk programs (73 variables), the block solver gave the same
+# values within 1.3e-8 relative but took 1.0-1.2 s instead of 0.43-0.59 s
+# on eight desk max-mins, and 0.65-0.87 s instead of 0.18-0.28 s on three
+# tiny oracle instances (one BLAS thread, 2-vCPU virtual machine).
 _BLOCK_MIN_COLS = 200
 
 
@@ -282,7 +286,7 @@ class _BlockNewton:
         (m, n), row, col, val = G.shape, G.row, G.col, G.val
         self.spec, self.n = spec, n
         self.G = csr_matrix((val, (row, col)), shape=(m, n))
-        self.GT = csr_matrix((val, (col, row)), shape=(n, m))
+        self.GT = self.G.T  # a CSC view of the same arrays
         cone = spec.block_ids[row]
         head = spec.heads[cone] == row
         self.H = np.zeros((n, spec.nblocks))

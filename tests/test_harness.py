@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from cran_maxmin import harness
+from cran_maxmin import cli, harness
 from cran_maxmin.cli import cli_main
 from cran_maxmin.harness import (
     RUNNERS,
@@ -386,6 +386,31 @@ class TestCli:
         out = tmp_path / "results.csv"
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_sweep_refuses_an_unwritable_out_before_any_trial(self, tmp_path, capsys,
+                                                              monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append(args))
+        cfg = self._config_file(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code = cli_main(["sweep", "--config", str(cfg), "--out", str(folder)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(folder) in err
+        assert calls == []
+
+    def test_failed_sweep_keeps_an_existing_out_file(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("sweep failed")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        out = tmp_path / "results.csv"
+        out.write_text("earlier results\n")
+        code = cli_main(["sweep", "--config", str(self._config_file(tmp_path)),
+                         "--out", str(out)])
+        assert code == 1 and "sweep failed" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
 
     def test_missing_config_exit_1_names_path(self, tmp_path, capsys):
         code = cli_main(["sweep", "--config", str(tmp_path / "missing.json"),

@@ -19,16 +19,17 @@ def reference_template(prob, margin):
     """(G, h, tail_rows, noise_rows, dims) of the margin (or power) program
     at gamma = 1, filled densely row by row."""
     K, N, M = prob.K, prob.N, prob.M
-    col = {pair: 1 + 2 * M * i for i, pair in enumerate(prob.pairs)}
-    serving = [sorted(n for (j, n) in prob.pairs if j == k) for k in range(K)]
-    by_rrh = [sorted(k for (k, j) in prob.pairs if j == n) for n in range(N)]
+    pairs = list(zip(prob.pk.tolist(), prob.pn.tolist()))
+    col = {pair: 1 + 2 * M * i for i, pair in enumerate(pairs)}
+    serving = [sorted(n for (j, n) in pairs if j == k) for k in range(K)]
+    by_rrh = [sorted(k for (k, j) in pairs if j == n) for n in range(N)]
     dims = []
     nrows = K * (2 + 2 * (K - 1))
     for n in range(N):
         if by_rrh[n]:
             nrows += 1 + 2 * M * len(by_rrh[n])
     if not margin:
-        nrows += 1 + 2 * M * len(prob.pairs)
+        nrows += 1 + 2 * M * len(pairs)
     G = np.zeros((nrows, prob.nx))
     h = np.zeros(nrows)
     tail_rows, noise_rows = [], []
