@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Desk-scale sweep (CI-sized): 3 RRHs x 2 antennas, 6 users, 20 trials.
 
-Writes results_desk.csv next to the repo root.  Takes about 15 s on two
-cores.
+Writes results_desk.csv next to the repo root.  Takes about 10 s on two
+cores (one BLAS thread per process, 2-vCPU virtual machine).
 """
 
 import sys

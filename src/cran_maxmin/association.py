@@ -57,8 +57,8 @@ class SolveCache:
     with the feasibility probe's beamformers, and the power-min that
     tightens them runs when `max_min` first reads them.  An entry holds
     beamformers, never a cone template.  A value solve that failed is
-    remembered under its exact request (association and hint) and raised
-    again without re-solving; the solve is deterministic.
+    remembered under its exact request (association and both hints) and
+    raised again without re-solving; the solve is deterministic.
     """
 
     def __init__(self, ch: ChannelState, power_cap_w, noise_power_w: float,
@@ -70,22 +70,27 @@ class SolveCache:
         self._value = {}  # omega -> (gamma1, probe beamformers at gamma1)
         self._max_min = {}  # omega -> tightened beamformers
         self._power_min = {}
-        self._failed = {}  # (omega, hint) -> (message, stats)
+        self._failed = {}  # (omega, upper hint, lower hint) -> (message, stats)
 
-    def value(self, assoc: AssociationMap, gamma_upper_hint=None) -> float:
-        """The wireless max-min value gamma1 of assoc; no power-min runs."""
+    def value(self, assoc: AssociationMap, gamma_upper_hint=None,
+              gamma_lower_hint=None) -> float:
+        """The wireless max-min value gamma1 of assoc; no power-min runs.
+        The hints start the search as in `max_min_value`; a hit returns the
+        first computation whatever hints it was asked with."""
         key = assoc.omega
         if key not in self._value:
-            failure = self._failed.get((key, gamma_upper_hint))
+            request = (key, gamma_upper_hint, gamma_lower_hint)
+            failure = self._failed.get(request)
             if failure is not None:
                 # a fresh exception, so a runner's partial_report stays its own
                 raise SolverIndeterminate(*failure)
             try:
                 self._value[key] = max_min_value(
                     self.ch, assoc, self.power_cap_w, self.noise_power_w,
-                    self.tol, gamma_upper_hint=gamma_upper_hint)
+                    self.tol, gamma_upper_hint=gamma_upper_hint,
+                    gamma_lower_hint=gamma_lower_hint)
             except SolverIndeterminate as exc:
-                self._failed[(key, gamma_upper_hint)] = (str(exc), exc.stats)
+                self._failed[request] = (str(exc), exc.stats)
                 raise
         return self._value[key][0]
 
@@ -107,7 +112,7 @@ class SolveCache:
         return self._power_min[key]
 
     def evaluate(self, assoc: AssociationMap, cfg: NetworkConfig,
-                 gamma_upper_hint=None):
+                 gamma_upper_hint=None, gamma_lower_hint=None):
         """Value of a fixed association, the combination rule every scheme
         is scored by: gamma = min(gamma1, gamma2) of the wireless max-min
         gamma1 and the fronthaul closed form gamma2.  The beamformers come
@@ -117,7 +122,7 @@ class SolveCache:
 
         Returns (gamma1, gamma2, gamma, read).
         """
-        gamma1 = self.value(assoc, gamma_upper_hint)
+        gamma1 = self.value(assoc, gamma_upper_hint, gamma_lower_hint)
         gamma2 = fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
         if gamma1 <= gamma2:
             return gamma1, gamma2, gamma1, lambda: self.max_min(assoc)[1]
@@ -284,7 +289,8 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     activate the strongest inactive link per iteration, stop at the first
     drop of the max-min SINR and report the pre-drop iterate.  A dip of at
     most 2 bisection_rel_tol, the noise between two separate solves, is not
-    a drop.
+    a drop.  Each activation adds a link, so the last gamma1 is a value the
+    new association reaches too; it starts the next search from below.
     """
     report = SolveReport(scheme_label="bench2")
     if cache is None:
@@ -293,11 +299,12 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     norms = np.linalg.norm(ch.h, axis=2) ** 2
 
     best = None  # (gamma, read)
-    prev_gamma = -math.inf
+    prev_gamma, gamma1 = -math.inf, None
     activated: Optional[LinkChoice] = None
     try:
         for t in range(1, cfg.n_rrh * cfg.n_users + 2):
-            gamma1, gamma2, gamma_t, read_t = cache.evaluate(assoc, cfg)
+            gamma1, gamma2, gamma_t, read_t = cache.evaluate(
+                assoc, cfg, gamma_lower_hint=gamma1)
             report.iterations.append(IterationRecord(
                 t, gamma1, gamma2, gamma_t,
                 activated.user if activated else None,

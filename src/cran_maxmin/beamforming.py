@@ -32,9 +32,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState
-from cran_maxmin.socp import ConeSpec, CooMatrix, solve_socp
+from cran_maxmin.socp import ConeSpec, CooMatrix, NewtonLayout, solve_socp
 
 _log = logging.getLogger(__name__)
+
+# A probe starts from the last optimal probe of its problem when its target
+# is within this relative distance of that probe's; farther away, the old
+# optimum is a worse start than the standard one.
+_WARM_GATE = 0.2
 
 
 class SolverIndeterminate(RuntimeError):
@@ -116,7 +121,8 @@ def per_user_gamma_upper_bound(ch: ChannelState, assoc: AssociationMap, power_ca
 class _Template(NamedTuple):
     """One cone program at gamma = 1.  G's entries flagged in scaled (those
     on the interference rows, tail_rows) and h's noise_rows scale with
-    sqrt(gamma)."""
+    sqrt(gamma).  layout is the Newton-system structure of G's pattern,
+    which every instance that drops no entry shares."""
 
     G: CooMatrix
     scaled: np.ndarray
@@ -124,6 +130,7 @@ class _Template(NamedTuple):
     tail_rows: np.ndarray
     noise_rows: np.ndarray
     spec: ConeSpec
+    layout: NewtonLayout
 
 
 class _BeamProblem:
@@ -158,6 +165,7 @@ class _BeamProblem:
         self.nx = 1 + 2 * self.M * len(self.pk)
         self._margin = None  # templates are built on demand
         self._power = None
+        self._warm = None  # (gamma, (x, s, z)) of the last optimal probe
 
     # -- template construction --------------------------------------------
     def _build(self, margin: bool) -> _Template:
@@ -218,8 +226,9 @@ class _BeamProblem:
         tail_rows = (2 * K * users + np.arange(1, 2 * K - 1)).ravel()
         on_tail = np.zeros(nrows, dtype=bool)
         on_tail[tail_rows] = True
-        return _Template(CooMatrix(row, cols[order], vals[order], (nrows, nx)), on_tail[row],
-                         h, tail_rows, noise_rows, ConeSpec(dims))
+        G, spec = CooMatrix(row, cols[order], vals[order], (nrows, nx)), ConeSpec(dims)
+        return _Template(G, on_tail[row], h, tail_rows, noise_rows, spec,
+                         NewtonLayout(G, spec))
 
     def _instantiate(self, template: _Template, gamma: float):
         """(G, h, spec) at SINR target gamma: the interference entries and the
@@ -232,6 +241,13 @@ class _BeamProblem:
         h = template.h.copy()
         h[template.noise_rows] *= sq
         return CooMatrix(G.row[keep], G.col[keep], val[keep], G.shape), h, template.spec
+
+    def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None):
+        """solve_socp on the template at gamma, with the template's Newton
+        layout while the instance keeps every entry of the template."""
+        G2, h2, spec = self._instantiate(template, gamma)
+        layout = template.layout if len(G2.val) == len(template.G.val) else None
+        return solve_socp(c, G2, h2, spec, start=start, layout=layout)
 
     def zeros(self) -> BeamformerSet:
         return BeamformerSet.zeros(self.K, self.N, self.M)
@@ -252,13 +268,18 @@ class _BeamProblem:
     def probe(self, gamma: float, tol: SolverTolerances) -> FeasibilityOutcome:
         """Feasibility verdict at SINR target gamma from the optimal margin:
         feasible iff it clears -cone_feas_tol, indeterminate if the solver
-        stalled."""
+        stalled.  The solve starts from the last optimal probe's solution
+        when gamma is within _WARM_GATE of its target, cold otherwise."""
         if self._margin is None:
             self._margin = self._build(margin=True)
-        G2, h2, spec = self._instantiate(self._margin, gamma)
         c = np.zeros(self.nx)
         c[0] = -1.0
-        res = solve_socp(c, G2, h2, spec)
+        start = None
+        if self._warm is not None and abs(gamma / self._warm[0] - 1.0) <= _WARM_GATE:
+            start = self._warm[1]
+        res = self._solve(self._margin, gamma, c, start)
+        if res.status == "optimal":
+            self._warm = (gamma, (res.x, res.s, res.z))
         margin = -res.obj if res.obj is not None else None
         stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
         if res.status != "optimal":
@@ -275,10 +296,9 @@ class _BeamProblem:
         """Minimize total transmit power at fixed SINR target gamma."""
         if self._power is None:
             self._power = self._build(margin=False)
-        G2, h2, spec = self._instantiate(self._power, gamma)
         c = np.zeros(self.nx)
         c[0] = 1.0
-        res = solve_socp(c, G2, h2, spec)
+        res = self._solve(self._power, gamma, c)
         stats = SolverStats(res.status, res.iterations, None, res.pres, res.dres)
         if res.status == "primal_infeasible":
             raise ValueError(f"SINR target {gamma} is infeasible for this association")
@@ -308,14 +328,17 @@ def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
     return prob.probe(gamma_target, tol)
 
 
-def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances):
+def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
+                     gamma_lb: Optional[float] = None):
     """Shrink the bracket [lo feasible, hi infeasible] around the max-min
     optimum until hi - lo <= bisection_rel_tol * lo, with at most
     max_bisection_iters probes.  Returns (lo, beamformers at lo).
 
     f = margin + cone_feas_tol is >= 0 exactly at the feasible targets and
-    falls smoothly in t = sqrt(gamma).  The first probe is at gamma_ub (if
-    feasible, the search ends there); each later one is a Newton step in t
+    falls smoothly in t = sqrt(gamma).  The first probe is at gamma_lb when
+    0 < gamma_lb < gamma_ub, else at gamma_ub (if feasible, the search ends
+    there); a lower start that proves infeasible is an upper end like any
+    other infeasible probe.  Each later probe is a Newton step in t
     from the last probe, with the slope from its dual (`SolverStats`), to a
     root r probed at r(1 + 0.45 tol) after a feasible probe and r(1 - 0.45
     tol) after an infeasible one: a probe on the root still closes the
@@ -324,6 +347,8 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances)
     or one that leaves the bracket, falls back to the midpoint.
     """
     lo, hi, gamma, bf_lo = 0.0, gamma_ub, gamma_ub, None
+    if gamma_lb is not None and 0.0 < gamma_lb < gamma_ub:
+        gamma = gamma_lb
     for _ in range(tol.max_bisection_iters):
         if hi - lo <= tol.bisection_rel_tol * lo:
             break
@@ -348,7 +373,8 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances)
 def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
                   noise_power_w: float,
                   tol: SolverTolerances = SolverTolerances(),
-                  gamma_upper_hint: Optional[float] = None):
+                  gamma_upper_hint: Optional[float] = None,
+                  gamma_lower_hint: Optional[float] = None):
     """The value of the max-min: the largest common SINR achievable over the
     wireless links.
 
@@ -361,7 +387,10 @@ def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
 
     gamma_upper_hint, when given, must be a valid upper bound on the optimum
     (e.g. the value at a superset association); it shrinks the initial
-    bracket below the interference-free bound.
+    bracket below the interference-free bound.  gamma_lower_hint, when given,
+    should be a value the association can reach (e.g. the value at a subset
+    association); the search probes it first, and ignores it unless it lies
+    strictly between 0 and the upper bound.
     """
     prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     gamma_ub = mrt_gamma_upper_bound(ch, power_cap_w, noise_power_w)
@@ -369,7 +398,7 @@ def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
         gamma_ub = min(gamma_ub, float(gamma_upper_hint))
     if prob.unserved or gamma_ub <= 0.0:
         return 0.0, prob.zeros()
-    lo, bf_lo = _max_min_bracket(prob, gamma_ub, tol)
+    lo, bf_lo = _max_min_bracket(prob, gamma_ub, tol, gamma_lower_hint)
     if lo == 0.0:
         return 0.0, prob.zeros()
     return lo, bf_lo

@@ -18,6 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from cran_maxmin.beamforming import SolverIndeterminate  # noqa: E402
+from cran_maxmin.channels import Topology  # noqa: E402
 from cran_maxmin.harness import (  # noqa: E402
     RUNNERS,
     ConfigError,
@@ -66,29 +67,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_channels(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    _, ch = draw_trial(dataclasses.replace(cfg, seed=args.seed), 0)
-    save_channel_state(ch, args.out)
+    topo, ch = draw_trial(dataclasses.replace(cfg, seed=args.seed), 0)
+    save_channel_state(ch, args.out, positions=(topo.rrh_pos, topo.user_pos))
     print(f"wrote {args.out}: K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}")
     return 0
 
 
 def _load_instance(args):
     """(config, channels, NetworkConfig at --fronthaul-bps or the config's
-    single capacity).  A channel file of another shape than the config is
-    refused."""
+    single capacity, topology or None).  The topology holds the file's
+    positions, which it may lack.  A channel file of another shape than the
+    config is refused."""
     cfg = ExperimentConfig.from_json(args.config)
-    ch = load_channel_state(args.channels)
+    ch, positions = load_channel_state(args.channels)
     if (ch.n_users, ch.n_rrh, ch.n_antennas) != (cfg.n_users, cfg.n_rrh, cfg.n_antennas):
         raise ConfigError(
             f"channel file is K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}, "
             f"config says K={cfg.n_users} N={cfg.n_rrh} M={cfg.n_antennas}")
     fronthaul = cfg.single_fronthaul() if args.fronthaul_bps is None else args.fronthaul_bps
-    return cfg, ch, cfg.network_config(fronthaul)
+    topo = None if positions is None else Topology(*positions, cfg.radius_m)
+    return cfg, ch, cfg.network_config(fronthaul), topo
 
 
 def _cmd_solve(args) -> int:
-    cfg, ch, netcfg = _load_instance(args)
-    report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), None, None)
+    cfg, ch, netcfg, topo = _load_instance(args)
+    report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), topo, None)
     for rec in report.iterations:
         removed = "-" if rec.removed_user is None \
             else f"({rec.removed_user},{rec.removed_rrh})"
@@ -117,7 +120,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg, ch, netcfg = _load_instance(args)
+    cfg, ch, netcfg, _ = _load_instance(args)
     gamma, assoc = exhaustive_best(ch, netcfg, cfg.tolerances())
     print(f"gamma_opt={gamma:.6g} ({to_db(gamma):.3f} dB)")
     print(f"assoc_opt={[sorted(s) for s in assoc.omega]}")

@@ -258,8 +258,10 @@ def per_rrh_power(bf: BeamformerSet) -> np.ndarray:
 # channel-state file format (JSON, interleaved re/im)
 # ---------------------------------------------------------------------------
 
-def save_channel_state(ch: ChannelState, path) -> None:
-    """Write a channel-state file: h as a K x N x M x 2 nested array."""
+def save_channel_state(ch: ChannelState, path, positions=None) -> None:
+    """Write a channel-state file: h as a K x N x M x 2 nested array, and
+    positions = (RRH positions (N, 2), user positions (K, 2)) in metres as
+    `rrh_pos` and `user_pos` when given."""
     stacked = np.stack([ch.h.real, ch.h.imag], axis=-1)
     doc = {
         "n_rrh": ch.n_rrh,
@@ -268,12 +270,18 @@ def save_channel_state(ch: ChannelState, path) -> None:
         "noise_power_w": ch.noise_power_w,
         "h": stacked.tolist(),
     }
+    if positions is not None:
+        doc["rrh_pos"], doc["user_pos"] = (np.asarray(p, dtype=float).tolist()
+                                           for p in positions)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
         f.write("\n")
 
 
-def load_channel_state(path) -> ChannelState:
+def load_channel_state(path):
+    """(ChannelState, positions) of a channel-state file: positions is
+    (RRH positions (N, 2), user positions (K, 2)), or None when the file
+    holds none."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -300,4 +308,16 @@ def load_channel_state(path) -> ChannelState:
     expected = (doc["n_users"], doc["n_rrh"], doc["n_antennas"], 2)
     if arr.shape != expected:
         raise ValueError(f"h: has shape {arr.shape}, expected {expected}")
-    return ChannelState(arr[..., 0] + 1j * arr[..., 1], float(noise))
+    ch = ChannelState(arr[..., 0] + 1j * arr[..., 1], float(noise))
+    if "rrh_pos" not in doc and "user_pos" not in doc:
+        return ch, None
+    positions = []
+    for key, count in (("rrh_pos", doc["n_rrh"]), ("user_pos", doc["n_users"])):
+        try:
+            pos = np.asarray(doc.get(key), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}: must be a nested list of numbers") from None
+        if pos.shape != (count, 2) or not np.isfinite(pos).all():
+            raise ValueError(f"{key}: must be {count} finite (x, y) pairs")
+        positions.append(pos)
+    return ch, tuple(positions)

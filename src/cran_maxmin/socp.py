@@ -25,7 +25,13 @@ programs under `_BLOCK_MIN_COLS` variables densify G, form the matrix from
 W^-1 G and factor it whole; larger ones whose tail rows split the columns
 into small blocks (the beamforming templates: one block per user) solve it
 as a block-diagonal matrix plus low-rank cone-head terms, read straight off
-the entries of G, without forming it.
+the entries of G, without forming it.  What depends only on where G's
+entries sit (the choice of solver and the block structure) is a
+`NewtonLayout`; a caller that solves many programs of one sparsity pattern
+builds it once and passes it in.
+
+A solve starts cold from (0, e, e), or warm from a nearby optimum (see
+`solve_socp`).
 
 The per-iteration cone kernels are written as few numpy calls: W^-1 applies
 V(Jw) = V(w)^-1 through the same code as W, and `ConeSpec.max_step` takes s
@@ -47,6 +53,8 @@ _FEASTOL = 1e-8
 _ABSTOL = 1e-9
 _RELTOL = 1e-8
 _MAX_ITERS = 100
+# weight of a warm start's optimum against the standard start (0, e, e)
+_WARM_WEIGHT = 0.9999
 
 
 class CooMatrix(NamedTuple):
@@ -257,8 +265,9 @@ class _DenseNewton:
 
 class _BlockNewton:
     """The reduced Newton matrix solved through its structure; G stays sparse
-    and unscaled.  G, the cone-head matrix and the blocks are all built from
-    the entries of a `CooMatrix`; no dense copy of G is formed.
+    and unscaled.  G, the cone-head matrix and the blocks are filled from
+    the values of a `CooMatrix` into the places its `_BlockPattern` holds;
+    no dense copy of G is formed.
 
     Per cone, with head row g, tail rows T and u = G_i' J w,
         G_i' W_i^-2 G_i = eta^-2 (T'T + 2 u u' - g g').
@@ -269,58 +278,27 @@ class _BlockNewton:
     by a low-rank term.  The rank-2 remainder of every cone goes through a
     small capacitance matrix (Woodbury).  Its negative g g' terms cancel
     most of some capacitance entries once a cone's w grows, so each solve is
-    refined against the exact operator, with the residual taken in the
-    scaled space as bx - G' W^-1 (W^-1 G dx - W^-1 bz), until the correction
-    falls below 1e-12 of dx or stops shrinking.  dz gets one correction step
-    so that W dz reproduces W^-1 (G dx - bz), the quantity the step uses.
+    refined against the exact operator, until the correction falls below
+    1e-12 of dx or stops shrinking.  The residual is bx - G' dz of the dz
+    the solve returns: dz = W^-1 y with y = W^-1 G dx - W^-1 bz, plus one
+    correction step so that W dz reproduces y, the quantity the step uses.
+    Refining against that dz, not the uncorrected one, makes the returned
+    pair satisfy G' dz = bx as well.
     """
 
     _MAX_REFINE = 8
 
-    def __init__(self, G: CooMatrix, spec: ConeSpec):
-        # imported here: programs that stay on the dense path never load
-        # scipy.sparse, which adds about 5 MB to a process
+    def __init__(self, G: CooMatrix, p: "_BlockPattern"):
         from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
 
-        (m, n), row, col, val = G.shape, G.row, G.col, G.val
-        self.spec, self.n = spec, n
-        self.G = csr_matrix((val, (row, col)), shape=(m, n))
+        self.spec, self.n, self.width = p.spec, p.n, p.width
+        self.G = csr_matrix((G.val, G.col, p.indptr), shape=G.shape)
         self.GT = self.G.T  # a CSC view of the same arrays
-        cone = spec.block_ids[row]
-        head = spec.heads[cone] == row
-        self.H = np.zeros((n, spec.nblocks))
-        self.H[col[head], cone[head]] = val[head]
-        tail = ~head
-        trow, tcol, tval = row[tail], col[tail], val[tail]
-        # columns joined through a tail row share a block: components of the
-        # bipartite column-row graph
-        link = csr_matrix((np.ones(len(trow)), (tcol, n + trow)), shape=(n + m, n + m))
-        label = connected_components(link, directed=False)[1][:n]
-        touched = np.zeros(n, dtype=bool)
-        touched[tcol] = True
-        self.free = np.flatnonzero(~touched)
-        cols = np.flatnonzero(touched)
-        _, colblk = np.unique(label[cols], return_inverse=True)
-        colpos, nb, b = _slots(colblk)
-        self.perm = np.full((nb, b), n)  # padding points at a zero row
-        self.perm[colblk, colpos] = cols
-        blk = np.zeros(n, dtype=np.intp)
-        pos = np.zeros(n, dtype=np.intp)
-        blk[cols], pos[cols] = colblk, colpos
-
-        rows, first, entry = np.unique(trow, return_index=True, return_inverse=True)
-        rowblk = blk[tcol[first]]
-        rowpos, _, rmax = _slots(rowblk)
-        self.R = np.zeros((nb, rmax, b))
-        self.R[rowblk[entry], rowpos[entry], pos[tcol]] = tval
-        self.rcone = np.zeros((nb, rmax), dtype=np.intp)  # padding rows of R are 0
-        self.rcone[rowblk, rowpos] = spec.block_ids[rows]
-        self.pad = np.zeros((nb, b, b))
-        pb, pp = np.nonzero(self.perm == n)
-        self.pad[pb, pp, pp] = 1.0
-        self.width = b
-        self.rank = 2 * spec.nblocks + len(self.free)
+        self.H = np.zeros((p.n, p.spec.nblocks))
+        self.H[p.hcol, p.hcone] = G.val[p.head]
+        self.R = np.zeros(p.rshape)
+        self.R[p.rindex] = G.val[~p.head]
+        self.free, self.perm, self.rcone, self.pad = p.free, p.perm, p.rcone, p.pad
 
     def factor(self, scal: _Scaling) -> bool:
         spec, n = self.spec, self.n
@@ -370,18 +348,74 @@ class _BlockNewton:
         """(dx, dz) with G' W^-2 G dx = bx + G' W^-2 bz, dz = W^-2 (G dx - bz)."""
         w_inv = self.scal.apply_w_inv
         bbz = w_inv(bz)
+
+        def dz_of(dx):
+            y = w_inv(self.G @ dx) - bbz
+            dz = w_inv(y)
+            return dz + w_inv(y - self.scal.apply_w(dz))
+
         dx = self._approx(bx + self.GT @ w_inv(bbz))
         last = np.inf
         for _ in range(self._MAX_REFINE):
-            step = self._approx(bx - self.GT @ w_inv(w_inv(self.G @ dx) - bbz))
+            step = self._approx(bx - self.GT @ dz_of(dx))
             dx += step
             size = float(np.linalg.norm(step))
             if size <= 1e-12 * float(np.linalg.norm(dx)) or size > 0.5 * last:
                 break
             last = size
-        y = w_inv(self.G @ dx) - bbz
-        dz = w_inv(y)
-        return dx, dz + w_inv(y - self.scal.apply_w(dz))
+        return dx, dz_of(dx)
+
+
+class _BlockPattern:
+    """What `_BlockNewton` reads off the positions of G's entries alone: the
+    CSR row pointers, the head entries, the column blocks (components of the
+    column-row graph through the tail rows) with their padded layout, and
+    where each tail entry lands in the blocks' row matrices.  Built once per
+    sparsity pattern; a program with the same pattern fills in its values."""
+
+    def __init__(self, G: CooMatrix, spec: ConeSpec):
+        # imported here: programs that stay on the dense path never load
+        # scipy.sparse, which adds about 5 MB to a process
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        (m, n), row, col = G.shape, G.row, G.col
+        self.spec, self.n = spec, n
+        self.indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=m), out=self.indptr[1:])
+        cone = spec.block_ids[row]
+        self.head = spec.heads[cone] == row
+        self.hcol, self.hcone = col[self.head], cone[self.head]
+        tail = ~self.head
+        trow, tcol = row[tail], col[tail]
+        # columns joined through a tail row share a block: components of the
+        # bipartite column-row graph
+        link = csr_matrix((np.ones(len(trow)), (tcol, n + trow)), shape=(n + m, n + m))
+        label = connected_components(link, directed=False)[1][:n]
+        touched = np.zeros(n, dtype=bool)
+        touched[tcol] = True
+        self.free = np.flatnonzero(~touched)
+        cols = np.flatnonzero(touched)
+        _, colblk = np.unique(label[cols], return_inverse=True)
+        colpos, nb, b = _slots(colblk)
+        self.perm = np.full((nb, b), n)  # padding points at a zero row
+        self.perm[colblk, colpos] = cols
+        blk = np.zeros(n, dtype=np.intp)
+        pos = np.zeros(n, dtype=np.intp)
+        blk[cols], pos[cols] = colblk, colpos
+
+        rows, first, entry = np.unique(trow, return_index=True, return_inverse=True)
+        rowblk = blk[tcol[first]]
+        rowpos, _, rmax = _slots(rowblk)
+        self.rshape = (nb, rmax, b)
+        self.rindex = (rowblk[entry], rowpos[entry], pos[tcol])
+        self.rcone = np.zeros((nb, rmax), dtype=np.intp)  # padding rows of R are 0
+        self.rcone[rowblk, rowpos] = spec.block_ids[rows]
+        self.pad = np.zeros((nb, b, b))
+        pb, pp = np.nonzero(self.perm == n)
+        self.pad[pb, pp, pp] = 1.0
+        self.width = b
+        self.rank = 2 * spec.nblocks + len(self.free)
 
 
 def _slots(group: np.ndarray):
@@ -394,16 +428,32 @@ def _slots(group: np.ndarray):
     return pos, len(sizes), int(sizes.max(initial=0))
 
 
+class NewtonLayout:
+    """How `solve_socp` solves the Newton systems of every program whose G
+    has one sparsity pattern and whose cones are one spec: by the block
+    solver, with its `_BlockPattern`, when G is large and neither its widest
+    block nor its low-rank part spans more than a quarter of its columns;
+    else whole.  Built once, it spares each such program the block
+    structure's set-up."""
+
+    def __init__(self, G: CooMatrix, spec: ConeSpec):
+        self.block = None
+        n = G.shape[1]
+        if n >= _BLOCK_MIN_COLS:
+            block = _BlockPattern(G, spec)
+            if max(block.width, block.rank) <= n // 4:
+                self.block = block
+
+    def system(self, G: CooMatrix):
+        """The Newton system of G, which must have the layout's pattern."""
+        if self.block is None:
+            return _DenseNewton(G.toarray())
+        return _BlockNewton(G, self.block)
+
+
 def _newton_system(G: CooMatrix, spec: ConeSpec):
-    """The block solver when G is large and neither its widest block nor its
-    low-rank part spans more than a quarter of its columns; else the dense
-    one."""
-    n = G.shape[1]
-    if n >= _BLOCK_MIN_COLS:
-        newton = _BlockNewton(G, spec)
-        if max(newton.width, newton.rank) <= n // 4:
-            return newton
-    return _DenseNewton(G.toarray())
+    """The Newton system of G, from a layout of its own."""
+    return NewtonLayout(G, spec).system(G)
 
 
 @dataclass
@@ -430,8 +480,17 @@ class SocpResult:
     relgap: float
 
 
-def solve_socp(c: np.ndarray, G, h: np.ndarray, dims) -> SocpResult:
-    """Solve the program (c, G, h, K); G is a `CooMatrix` or dense."""
+def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
+               layout: NewtonLayout | None = None) -> SocpResult:
+    """Solve the program (c, G, h, K); G is a `CooMatrix` or dense.
+
+    start, when given, is the (x, s, z) of an optimal solve of a program of
+    the same shape, say at a nearby SINR target.  The iteration then starts
+    at lambda (x, s, z) + (1 - lambda) (0, e, e) with tau = kappa = 1, with
+    lambda = _WARM_WEIGHT: interior, since e is, and close to that optimum
+    (the warm start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).
+    Without it, the start is (0, e, e).  layout, when given, must have been
+    built from a G with this one's sparsity pattern."""
     spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
     if not isinstance(G, CooMatrix):
         G = CooMatrix.from_dense(np.asarray(G, dtype=float))
@@ -441,14 +500,21 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims) -> SocpResult:
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
 
-    newton = _newton_system(G, spec)
-    x = np.zeros(n)
-    sz = np.array((spec.identity(), spec.identity()))
+    newton = _newton_system(G, spec) if layout is None else layout.system(G)
+    e = spec.identity()
+    if start is None:
+        x = np.zeros(n)
+        sz = np.array((e, e))
+    else:
+        x0, s0, z0 = start
+        if x0.shape != (n,) or s0.shape != (m,) or z0.shape != (m,):
+            raise ValueError("start point does not fit the program")
+        x = _WARM_WEIGHT * x0
+        sz = _WARM_WEIGHT * np.array((s0, z0)) + (1.0 - _WARM_WEIGHT) * e
     s, z = sz  # views: a step on sz moves both
     tau, kappa = 1.0, 1.0
     normc = max(1.0, float(np.linalg.norm(c)))
     normh = max(1.0, float(np.linalg.norm(h)))
-    e = spec.identity()
 
     # double-precision Cholesky degrades once mu shrinks ~12 orders below its
     # start; keep the best iterate and accept it with relaxed tolerances if

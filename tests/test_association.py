@@ -335,7 +335,7 @@ class TestBenchmark2:
         gammas = iter([1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4), 2.0])
 
         class StubCache:
-            def evaluate(self, assoc, cfg, gamma_upper_hint=None):
+            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
                 g = next(gammas)
                 return g, math.inf, g, lambda: BeamformerSet.zeros(3, 2, 2)
 
@@ -343,6 +343,41 @@ class TestBenchmark2:
         assert [r.gamma for r in report.iterations] == \
             [1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4)]
         assert report.final_gamma == 1.1
+
+    def test_each_search_starts_from_the_last_gamma1(self):
+        # an activation adds a link, so the last wireless value is one the
+        # new association reaches: it is the next evaluation's lower hint
+        ch = random_channels(33, 3, 2, 2)
+        cfg = _netcfg(ch, 1.0, (1e12, 1e12))
+        gamma1s = iter([1.0, 1.2, 1.5, 1.4])
+        hints = []
+
+        class StubCache:
+            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
+                hints.append((gamma_upper_hint, gamma_lower_hint))
+                g = next(gamma1s)
+                # the fronthaul binds, so gamma differs from gamma1
+                return g, 0.5 * g, 0.5 * g, lambda: BeamformerSet.zeros(3, 2, 2)
+
+        report = run_benchmark2(ch, cfg, TOL, cache=StubCache())
+        assert len(report.iterations) == 4
+        assert hints == [(None, None), (None, 1.0), (None, 1.2), (None, 1.5)]
+
+    def test_lower_start_keeps_the_path_and_the_values(self):
+        class HintlessCache(SolveCache):
+            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
+                return super().evaluate(assoc, cfg)
+
+        for seed in range(3):
+            _, ch, sigma2 = desk_instance(40 + seed)
+            cfg = _netcfg(ch, sigma2, (6e6,) * 3)
+            warm = run_benchmark2(ch, cfg, TOL)
+            cold = run_benchmark2(ch, cfg, TOL,
+                                  cache=HintlessCache(ch, cfg.power_cap_w, sigma2, TOL))
+            assert [r.omega_sizes for r in warm.iterations] == \
+                [r.omega_sizes for r in cold.iterations]
+            for a, b in zip(warm.iterations, cold.iterations):
+                assert a.gamma1 == pytest.approx(b.gamma1, rel=2 * TOL.bisection_rel_tol)
 
 
 class TestBenchmark3:
@@ -490,7 +525,8 @@ class TestSolveCacheFailures:
     def _failing_solve(monkeypatch):
         calls = []
 
-        def solve(ch, assoc, power_cap_w, noise_power_w, tol, gamma_upper_hint=None):
+        def solve(ch, assoc, power_cap_w, noise_power_w, tol, gamma_upper_hint=None,
+                  gamma_lower_hint=None):
             calls.append(gamma_upper_hint)
             raise SolverIndeterminate("probe stalled",
                                       SolverStats("stalled", 19, None, 4.56e-6, 0.0))
@@ -519,6 +555,15 @@ class TestSolveCacheFailures:
             with pytest.raises(SolverIndeterminate):
                 cache.max_min(assoc, gamma_upper_hint=hint)
         assert calls == [None, 5.0, 6.0]
+
+    def test_other_lower_hint_still_solves(self, monkeypatch):
+        calls = self._failing_solve(monkeypatch)
+        cache = SolveCache(random_channels(74, 3, 2, 2), (1.0, 1.0), 1.0, TOL)
+        assoc = AssociationMap.full(2, 3)
+        for lower in (None, 0.5, None, 0.5, 0.7):
+            with pytest.raises(SolverIndeterminate):
+                cache.value(assoc, 5.0, lower)
+        assert len(calls) == 3
 
     def test_each_run_keeps_its_own_partial_report(self, monkeypatch):
         self._failing_solve(monkeypatch)

@@ -340,6 +340,93 @@ class TestMarginRootFinder:
         assert abs(gamma - ref) <= 2 * TOL.bisection_rel_tol * ref
 
 
+def _counting_solves(monkeypatch):
+    """(start point, IPM iterations) of every cone solve, in order."""
+    calls = []
+    solve = beamforming.solve_socp
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs.get("start"), res.iterations))
+        return res
+
+    monkeypatch.setattr(beamforming, "solve_socp", counted)
+    return calls
+
+
+class TestWarmStarts:
+    """A probe near the last optimal one starts from its solution."""
+
+    def test_warm_searches_agree_with_cold_ones_in_fewer_iterations(self, monkeypatch):
+        hints = [_hint(case) for case in ROOT_FINDER_CASES]
+        calls = _counting_solves(monkeypatch)
+        runs = []
+        for gate in (beamforming._WARM_GATE, -1.0):  # -1: no probe is near enough
+            monkeypatch.setattr(beamforming, "_WARM_GATE", gate)
+            del calls[:]
+            values = [max_min_value(ch, assoc, caps, sigma2, TOL, gamma_upper_hint=hint)[0]
+                      for (_, ch, assoc, caps, sigma2, _), hint
+                      in zip(ROOT_FINDER_CASES, hints)]
+            runs.append((values, sum(it for _, it in calls),
+                         sum(start is not None for start, _ in calls)))
+        (warm, warm_iters, warm_starts), (cold, cold_iters, cold_starts) = runs
+        assert cold_starts == 0 < warm_starts
+        for w, c in zip(warm, cold):
+            assert abs(w - c) <= 2 * TOL.bisection_rel_tol * c
+        assert warm_iters < cold_iters
+
+    def test_far_probes_start_cold(self, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = ROOT_FINDER_CASES[0]
+        prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
+        calls = _counting_solves(monkeypatch)
+        gamma = 0.1 * per_user_gamma_upper_bound(ch, assoc, caps, sigma2)
+        for target in (gamma, 1.1 * gamma, 2.0 * gamma, 1.9 * gamma):
+            prob.probe(target, TOL)
+        assert [start is not None for start, _ in calls] == [False, True, False, True]
+
+    def test_check_feasible_starts_cold(self, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = ROOT_FINDER_CASES[0]
+        gamma = max_min_value(ch, assoc, caps, sigma2, TOL)[0]
+        calls = _counting_solves(monkeypatch)
+        outs = [check_feasible(ch, assoc, g, caps, sigma2, TOL)
+                for g in (gamma, 1.01 * gamma, gamma, 0.99 * gamma)]
+        assert [start for start, _ in calls] == [None] * 4
+        assert outs[0].solver_stats == outs[2].solver_stats
+        assert outs[0].beamformers.w.tobytes() == outs[2].beamformers.w.tobytes()
+
+
+class TestLowerHint:
+    """A value the association reaches starts the search from below."""
+
+    CASE = ROOT_FINDER_CASES[0]
+
+    def _search(self, monkeypatch, **hints):
+        _, ch, assoc, caps, sigma2, _ = self.CASE
+        calls = _counting_probes(monkeypatch)
+        gamma, bf = max_min_value(ch, assoc, caps, sigma2, TOL, **hints)
+        monkeypatch.undo()
+        return gamma, bf, calls
+
+    def test_first_probe_is_the_lower_hint(self, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = self.CASE
+        g_star = reference_bisection(ch, assoc, caps, sigma2)
+        for lower in (0.9 * g_star, 1.5 * g_star):  # feasible, then infeasible
+            gamma, bf, calls = self._search(monkeypatch, gamma_lower_hint=lower)
+            assert calls[0] == lower
+            assert abs(gamma - g_star) <= 2 * TOL.bisection_rel_tol * g_star
+            assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-6)).all()
+
+    @pytest.mark.parametrize("share", [1.0, 2.0, 0.0, -1.0, math.nan])
+    def test_a_lower_hint_outside_the_bracket_is_ignored(self, share, monkeypatch):
+        _, ch, assoc, caps, sigma2, _ = self.CASE
+        upper = 2.0 * reference_bisection(ch, assoc, caps, sigma2)
+        plain, _, plain_calls = self._search(monkeypatch, gamma_upper_hint=upper)
+        gamma, _, calls = self._search(monkeypatch, gamma_upper_hint=upper,
+                                       gamma_lower_hint=share * upper)
+        assert calls == plain_calls and calls[0] == upper
+        assert gamma == plain
+
+
 def _slope_cases():
     """(channels, association, caps, noise power): a desk draw, small enough
     for the dense Newton path, and a paper-profile draw, on the block path."""

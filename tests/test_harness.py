@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cran_maxmin import cli, harness
+from cran_maxmin.association import nearest_rrh_association, run_benchmark3
 from cran_maxmin.cli import cli_main
 from cran_maxmin.harness import (
     RUNNERS,
@@ -324,7 +326,7 @@ class TestCli:
         out = tmp_path / "chan.json"
         assert cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
                          "--out", str(out)]) == 0
-        ch = load_channel_state(out)
+        ch, _ = load_channel_state(out)
         assert (ch.n_users, ch.n_rrh, ch.n_antennas) == (3, 2, 2)
 
     def test_gen_channels_is_trial_0(self, tmp_path, capsys):
@@ -332,7 +334,7 @@ class TestCli:
         out = tmp_path / "chan.json"
         cli_main(["gen-channels", "--config", str(cfg), "--seed", "3",
                   "--out", str(out)])
-        ch = load_channel_state(out)
+        ch, _ = load_channel_state(out)
         _, expected = draw_trial(tiny_config(seed=3), 0)
         assert np.array_equal(ch.h, expected.h)
         assert ch.noise_power_w == expected.noise_power_w
@@ -380,6 +382,29 @@ class TestCli:
         assert doc["scheme"] == "bench3"
         assert {"t", "gamma1", "gamma2", "gamma", "removed_user", "removed_rrh",
                 "omega_sizes"} <= set(doc["iterations"][0])
+
+    def test_solve_replays_the_sweep_rows_of_its_draw(self, tmp_path, capsys):
+        # gen-channels at the config's seed writes the sweep's trial 0; its
+        # nearest RRHs by distance differ from those by channel gain
+        desk = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+        cfg = ExperimentConfig.from_json(desk)
+        chan = tmp_path / "chan.json"
+        assert cli_main(["gen-channels", "--config", str(desk), "--seed", str(cfg.seed),
+                         "--out", str(chan)]) == 0
+        topo, ch = draw_trial(cfg, 0)
+        assert nearest_rrh_association(ch) != nearest_rrh_association(ch, topo)
+        rows = harness._run_trial(cfg, 0)
+        for bps in (5e6, 40e6):
+            trace = tmp_path / "trace.json"
+            assert cli_main(["solve", "--scheme", "bench3", "--channels", str(chan),
+                             "--config", str(desk), "--fronthaul-bps", repr(bps),
+                             "--trace-out", str(trace)]) == 0
+            doc = json.loads(trace.read_text())
+            [row] = [r for r in rows if r["scheme"] == "bench3" and r["fronthaul_bps"] == bps]
+            assert doc["final_gamma"] == row["gamma_linear"]
+            swept = run_benchmark3(ch, cfg.network_config(bps), cfg.tolerances(), topo)
+            assert doc["final_gamma"] == swept.final_gamma
+            assert doc["final_omega"] == [sorted(s) for s in swept.final_association.omega]
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, trials=1, fronthaul_sweep_bps=[8e6])

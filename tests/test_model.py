@@ -217,7 +217,7 @@ class TestChannelFile:
         ch = ChannelState(h, 2.5e-13)
         path = tmp_path / "chan.json"
         save_channel_state(ch, path)
-        back = load_channel_state(path)
+        back, _ = load_channel_state(path)
         np.testing.assert_array_equal(back.h, ch.h)
         assert back.noise_power_w == ch.noise_power_w
 
@@ -228,6 +228,35 @@ class TestChannelFile:
         doc = json.loads(path.read_text())
         assert doc["h"][0][0][0] == [1.5, -2.5]
         assert doc["n_users"] == 1 and doc["n_rrh"] == 1 and doc["n_antennas"] == 1
+
+    def test_positions_roundtrip(self, tmp_path, rng):
+        ch = ChannelState(np.ones((3, 2, 1), complex), 1.0)
+        rrh, users = rng.standard_normal((2, 2)), rng.standard_normal((3, 2))
+        path = tmp_path / "chan.json"
+        save_channel_state(ch, path, positions=(rrh, users))
+        back, positions = load_channel_state(path)
+        np.testing.assert_array_equal(back.h, ch.h)
+        assert positions[0].tobytes() == rrh.tobytes()
+        assert positions[1].tobytes() == users.tobytes()
+
+    def test_file_without_positions_has_none(self, tmp_path):
+        path = tmp_path / "chan.json"
+        save_channel_state(ChannelState(np.ones((3, 2, 1), complex), 1.0), path)
+        assert "rrh_pos" not in json.loads(path.read_text())
+        assert load_channel_state(path)[1] is None
+
+    @pytest.mark.parametrize("field,value", [
+        ("rrh_pos", None), ("rrh_pos", [[0.0, 1.0]]), ("user_pos", [[0.0, 1.0]] * 2),
+        ("user_pos", [["a", 1.0]] * 3), ("rrh_pos", [[0.0, float("nan")]] * 2)])
+    def test_bad_positions_are_named(self, tmp_path, field, value):
+        path = tmp_path / "chan.json"
+        save_channel_state(ChannelState(np.ones((3, 2, 1), complex), 1.0), path,
+                           positions=(np.zeros((2, 2)), np.zeros((3, 2))))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            load_channel_state(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

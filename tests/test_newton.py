@@ -87,7 +87,7 @@ def dense(G, spec):
 
 
 def block(G, spec):
-    return socp._BlockNewton(coo(G), spec)
+    return socp._BlockNewton(coo(G), socp._BlockPattern(coo(G), spec))
 
 
 def relaxed(res):
@@ -189,6 +189,48 @@ def test_path_follows_problem_size():
         newton = socp._newton_system(G, spec)
         assert isinstance(newton, socp._BlockNewton)
         assert newton.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
+
+
+def _bytes(res):
+    return [None if a is None else a.tobytes() for a in (res.x, res.s, res.z)]
+
+
+@pytest.mark.parametrize("margin", [True, False], ids=["margin", "power"])
+def test_a_shared_layout_solves_bit_for_bit_as_a_fresh_one(margin):
+    ch = random_channels(1, 15, 5, 5)
+    prob = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
+    template = prob._build(margin)
+    assert template.layout.block is not None  # the block path
+    c = np.zeros(prob.nx)
+    c[0] = -1.0 if margin else 1.0
+    for gamma in (1e-3, 1e-2, 1e-1):
+        G, h, spec = prob._instantiate(template, gamma)
+        assert np.array_equal(G.row, template.G.row)  # the template's pattern
+        shared = socp.solve_socp(c, G, h, spec, layout=template.layout)
+        fresh = socp.solve_socp(c, G, h, spec)
+        assert (shared.status, shared.iterations, shared.obj) == \
+            (fresh.status, fresh.iterations, fresh.obj)
+        assert _bytes(shared) == _bytes(fresh)
+
+
+def test_an_instance_that_drops_entries_gets_a_layout_of_its_own(monkeypatch):
+    ch = random_channels(1, 15, 5, 5)
+    prob = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
+    template = prob._build(True)
+    built = []
+    layout = socp.NewtonLayout
+
+    def recorded(G, spec):
+        built.append(len(G.val))
+        return layout(G, spec)
+
+    monkeypatch.setattr(socp, "NewtonLayout", recorded)
+    c = np.zeros(prob.nx)
+    c[0] = -1.0
+    prob._solve(template, 1e-2, c)
+    assert built == []
+    prob._solve(template, 0.0, c)  # every interference entry drops out
+    assert len(built) == 1 and built[0] < len(template.G.val)
 
 
 # PSD with an exactly zero second pivot, and indefinite

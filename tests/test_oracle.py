@@ -215,7 +215,8 @@ class TestEqualsEnumeration:
         # every association scores 1e-6, and a patched fronthaul bound that
         # grows with the link count makes the search meet the ties from the
         # full association down; the first serving mask in order still wins
-        monkeypatch.setattr(SolveCache, "value", lambda self, assoc, hint=None: 1e-6)
+        monkeypatch.setattr(SolveCache, "value",
+                            lambda self, assoc, hint=None, lower=None: 1e-6)
         monkeypatch.setattr(oracle, "fronthaul_cap",
                             lambda assoc, caps, bw: 1e-6 * (1 + 1e-5 * sum(assoc.sizes())))
         ch = random_channels(8, 3, 2, 1)

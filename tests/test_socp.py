@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from cran_maxmin.socp import ConeSpec, _DenseNewton, _Scaling, solve_socp
+from cran_maxmin.socp import _FEASTOL, ConeSpec, _DenseNewton, _Scaling, solve_socp
 
 
 def interior_point(rng, spec, scale=1.0):
@@ -294,6 +294,50 @@ class TestAnalyticPrograms:
     def test_dual_infeasible_detected(self):
         res = solve_socp(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]), [1])
         assert res.status == "dual_infeasible"
+
+
+def _warm_start_programs():
+    """(c, G, h, spec) of an analytic program and of margin programs on the
+    dense (desk) and the block (paper-size) Newton paths."""
+    from conftest import desk_instance, random_channels
+    from cran_maxmin.beamforming import _BeamProblem, per_user_gamma_upper_bound
+    from cran_maxmin.model import AssociationMap
+
+    programs = {"distance-to-unit-ball": (
+        np.array([1.0, 0, 0]),
+        np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0],
+                  [0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
+        np.array([0.0, -3.0, -4.0, 1.0, 0.0, 0.0]), ConeSpec([3, 3]))}
+    _, desk, sigma2 = desk_instance(8)
+    for name, ch, assoc, noise in (
+            ("desk-margin", desk, AssociationMap.full(3, 6), sigma2),
+            ("paper-size-margin", random_channels(1, 15, 5, 5), AssociationMap.full(5, 15), 1.0)):
+        prob = _BeamProblem(ch, assoc, np.ones(ch.n_rrh), noise)
+        gamma = 0.01 * per_user_gamma_upper_bound(ch, assoc, np.ones(ch.n_rrh), noise)
+        G, h, spec = prob._instantiate(prob._build(True), gamma)
+        c = np.zeros(prob.nx)
+        c[0] = -1.0
+        programs[name] = (c, G, h, spec)
+    return programs
+
+
+WARM_START_PROGRAMS = _warm_start_programs()
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", WARM_START_PROGRAMS)
+    def test_start_at_its_own_optimum_takes_fewer_iterations(self, name):
+        c, G, h, spec = WARM_START_PROGRAMS[name]
+        cold = solve_socp(c, G, h, spec)
+        warm = solve_socp(c, G, h, spec, start=(cold.x, cold.s, cold.z))
+        assert cold.status == warm.status == "optimal"
+        assert abs(warm.obj - cold.obj) <= _FEASTOL
+        assert warm.iterations < cold.iterations
+
+    def test_start_of_another_shape_is_refused(self):
+        c, G, h, spec = WARM_START_PROGRAMS["distance-to-unit-ball"]
+        with pytest.raises(ValueError, match="start point"):
+            solve_socp(c, G, h, spec, start=(np.zeros(3), np.ones(5), np.ones(6)))
 
 
 class TestRandomCertificates:
