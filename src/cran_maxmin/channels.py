@@ -42,7 +42,6 @@ class Topology:
 
     rrh_pos: np.ndarray   # (N, 2) meters
     user_pos: np.ndarray  # (K, 2) meters
-    radius_m: float
 
     def __post_init__(self):
         self.rrh_pos = np.asarray(self.rrh_pos, dtype=float).reshape(-1, 2)
@@ -67,7 +66,7 @@ def generate_topology(n_rrh: int, n_users: int, radius_m: float, rng_seed: int) 
     rng = _rng(rng_seed)
     rrh = _uniform_disk(rng, n_rrh, radius_m)
     users = _uniform_disk(rng, n_users, radius_m)
-    return Topology(rrh, users, radius_m)
+    return Topology(rrh, users)
 
 
 def pathloss_db(distance_m, a_db: float, b: float, min_distance_m: float) -> np.ndarray:
@@ -76,8 +75,7 @@ def pathloss_db(distance_m, a_db: float, b: float, min_distance_m: float) -> np.
     return a_db + b * np.log10(d)
 
 
-def generate_channels(loss_db: np.ndarray, n_antennas: int, rng_seed: int, *,
-                      noise_power_w: float) -> ChannelState:
+def generate_channels(loss_db: np.ndarray, n_antennas: int, rng_seed: int) -> ChannelState:
     """Rayleigh fading on top of a (K, N) path loss in dB.
 
     h[k, n] = sqrt(10^(-loss_db[k, n]/10)) * g with g an M-vector of
@@ -87,7 +85,7 @@ def generate_channels(loss_db: np.ndarray, n_antennas: int, rng_seed: int, *,
     k, n = amp.shape
     raw = _rng(rng_seed).standard_normal((k, n, n_antennas, 2))
     g = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-    return ChannelState(amp[:, :, None] * g, noise_power_w)
+    return ChannelState(amp[:, :, None] * g)
 
 
 def noise_power(psd_dbm_hz: float, noise_figure_db: float, bandwidth_hz: float) -> float:

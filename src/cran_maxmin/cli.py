@@ -85,12 +85,15 @@ def _load_instance(args):
             f"channel file is K={ch.n_users} N={ch.n_rrh} M={ch.n_antennas}, "
             f"config says K={cfg.n_users} N={cfg.n_rrh} M={cfg.n_antennas}")
     fronthaul = cfg.single_fronthaul() if args.fronthaul_bps is None else args.fronthaul_bps
-    topo = None if positions is None else Topology(*positions, cfg.radius_m)
+    topo = None if positions is None else Topology(*positions)
     return cfg, ch, cfg.network_config(fronthaul), topo
 
 
 def _cmd_solve(args) -> int:
     cfg, ch, netcfg, topo = _load_instance(args)
+    if args.trace_out:  # refuse an unwritable path before solving, as sweep --out
+        with open(args.trace_out, "a", encoding="utf-8"):
+            pass
     report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), topo, None)
     for rec in report.iterations:
         removed = "-" if rec.removed_user is None \
@@ -109,6 +112,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
+    if args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     # refuse an output path that cannot be written before the first trial;
     # append mode creates the file if need be and truncates nothing
     with open(args.out, "a", encoding="utf-8"):

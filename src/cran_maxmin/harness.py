@@ -50,9 +50,15 @@ CSV_COLUMNS = ("fronthaul_bps", "scheme", "trial", "gamma_linear", "gamma_db",
                "iterations", "runtime_ms", "status")
 
 
-_INT_FIELDS = ("n_rrh", "n_users", "n_antennas", "trials", "seed")
-_REAL_FIELDS = ("bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db", "radius_m",
-                "pathloss_a_db", "pathloss_b", "min_distance_m")
+# The scenario every experiment shares, declared here and nowhere else: a
+# 10 MHz band, -169 dBm/Hz noise with a 7 dB noise figure, RRHs and users
+# uniform in a 500 m disk, and path loss a + b log10(d) dB.
+BANDWIDTH_HZ = 10e6
+NOISE_PSD_DBM_HZ = -169.0
+NOISE_FIGURE_DB = 7.0
+RADIUS_M = 500.0
+PATHLOSS_A_DB = 30.6
+PATHLOSS_B = 36.7
 
 
 def _is_number(value, kind=numbers.Real, inf_ok=False) -> bool:
@@ -78,13 +84,7 @@ class ExperimentConfig:
     n_rrh: int = 3
     n_users: int = 6
     n_antennas: int = 2
-    bandwidth_hz: float = 10e6
     tx_power_dbm: float | list = 30.0
-    noise_psd_dbm_hz: float = -169.0
-    noise_figure_db: float = 7.0
-    radius_m: float = 500.0
-    pathloss_a_db: float = 30.6
-    pathloss_b: float = 36.7
     min_distance_m: float = 1.0
     fronthaul_sweep_bps: list = field(default_factory=lambda: [5e6, 10e6, 15e6,
                                                                20e6, 40e6, 80e6])
@@ -94,15 +94,13 @@ class ExperimentConfig:
     schemes: list = field(default_factory=lambda: list(RUNNERS))
 
     def __post_init__(self):
-        for names, kind, what in ((_INT_FIELDS, numbers.Integral, "an integer"),
-                                  (_REAL_FIELDS, numbers.Real, "a finite number")):
-            for name in names:
-                value = getattr(self, name)
-                if not _is_number(value, kind):
-                    raise ConfigError(f"{name}: must be {what}, got {value!r}")
-        for name in ("radius_m", "min_distance_m"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name}: must be > 0")
+        for name in ("n_rrh", "n_users", "n_antennas", "trials", "seed"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        if not _is_number(self.min_distance_m) or not self.min_distance_m > 0:
+            raise ConfigError(f"min_distance_m: must be a finite number > 0, "
+                              f"got {self.min_distance_m!r}")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         if not _numbers(self.tx_power_dbm):
@@ -164,13 +162,12 @@ class ExperimentConfig:
         return tuple(10.0 ** ((float(v) - 30.0) / 10.0) for v in dbm)
 
     def noise_power_w(self) -> float:
-        return noise_power(self.noise_psd_dbm_hz, self.noise_figure_db,
-                           self.bandwidth_hz)
+        return noise_power(NOISE_PSD_DBM_HZ, NOISE_FIGURE_DB, BANDWIDTH_HZ)
 
     def network_config(self, fronthaul_bps) -> NetworkConfig:
         """NetworkConfig at fronthaul_bps, one value for every RRH or a list."""
         return NetworkConfig(self.n_rrh, self.n_users, self.n_antennas,
-                             self.bandwidth_hz, self.power_caps_w(), fronthaul_bps,
+                             BANDWIDTH_HZ, self.power_caps_w(), fronthaul_bps,
                              self.noise_power_w())
 
     def single_fronthaul(self) -> float | list:
@@ -182,12 +179,10 @@ class ExperimentConfig:
 def draw_trial(cfg: ExperimentConfig, trial: int):
     """Topology and channels for one trial: the topology from sub-seed
     2 trial, the fading from sub-seed 2 trial + 1."""
-    topo = generate_topology(cfg.n_rrh, cfg.n_users, cfg.radius_m,
+    topo = generate_topology(cfg.n_rrh, cfg.n_users, RADIUS_M,
                              trial_seed(cfg.seed, 2 * trial))
-    loss_db = pathloss_db(topo.distances(), cfg.pathloss_a_db, cfg.pathloss_b,
-                          cfg.min_distance_m)
-    ch = generate_channels(loss_db, cfg.n_antennas, trial_seed(cfg.seed, 2 * trial + 1),
-                           noise_power_w=cfg.noise_power_w())
+    loss_db = pathloss_db(topo.distances(), PATHLOSS_A_DB, PATHLOSS_B, cfg.min_distance_m)
+    ch = generate_channels(loss_db, cfg.n_antennas, trial_seed(cfg.seed, 2 * trial + 1))
     return topo, ch
 
 
@@ -233,14 +228,16 @@ def to_db(gamma: float) -> float:
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
-    """Run the full (capacity x trial x scheme) grid, in a pool if workers > 1.
+    """Run the full (capacity x trial x scheme) grid, in a pool of at most
+    one worker per trial if workers > 1.
 
     Returns (rows, aggregates): raw rows sorted by (capacity, trial, scheme)
     and one mean row per (capacity, scheme) over the trials that solved;
     failed trials are excluded from the mean and counted in the status field.
     """
     trials = list(range(cfg.trials))
-    if workers > 1 and len(trials) > 1:
+    workers = min(workers, len(trials))  # a pool forks all its workers at once
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, [cfg] * len(trials), trials))
     else:

@@ -8,7 +8,6 @@ mutate their inputs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -60,10 +59,9 @@ class NetworkConfig:
 
 @dataclass
 class ChannelState:
-    """Channels h[k, n] (M-vectors, linear scale) plus receiver noise power."""
+    """Channels h[k, n] (M-vectors, linear scale); the noise is the network's."""
 
     h: np.ndarray  # complex128, shape (K, N, M)
-    noise_power_w: float
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=np.complex128)
@@ -71,8 +69,6 @@ class ChannelState:
             raise ValueError("h must have shape (n_users, n_rrh, n_antennas)")
         if not np.isfinite(self.h.view(float)).all():
             raise ValueError("channel entries must be finite")
-        if not self.noise_power_w > 0:
-            raise ValueError("noise_power_w must be > 0")
 
     @property
     def n_users(self) -> int:
@@ -258,6 +254,10 @@ def per_rrh_power(bf: BeamformerSet) -> np.ndarray:
 # channel-state file format (JSON, interleaved re/im)
 # ---------------------------------------------------------------------------
 
+# every key a channel-state file may hold; the first four are required
+_CHANNEL_KEYS = ("n_rrh", "n_users", "n_antennas", "h", "rrh_pos", "user_pos")
+
+
 def save_channel_state(ch: ChannelState, path, positions=None) -> None:
     """Write a channel-state file: h as a K x N x M x 2 nested array, and
     positions = (RRH positions (N, 2), user positions (K, 2)) in metres as
@@ -267,7 +267,6 @@ def save_channel_state(ch: ChannelState, path, positions=None) -> None:
         "n_rrh": ch.n_rrh,
         "n_users": ch.n_users,
         "n_antennas": ch.n_antennas,
-        "noise_power_w": ch.noise_power_w,
         "h": stacked.tolist(),
     }
     if positions is not None:
@@ -290,17 +289,17 @@ def load_channel_state(path):
     if not isinstance(doc, dict):
         raise ValueError(f"channel-state file {path} must hold a JSON object, "
                          f"not {type(doc).__name__}")
-    for key in ("n_rrh", "n_users", "n_antennas", "noise_power_w", "h"):
+    unknown = sorted(set(doc).difference(_CHANNEL_KEYS))
+    if unknown:
+        why = "; the noise power comes from the config" if "noise_power_w" in unknown else ""
+        raise ValueError(f"channel-state file {path} has unknown fields {unknown}{why}")
+    for key in _CHANNEL_KEYS[:4]:
         if key not in doc:
             raise ValueError(f"channel-state file missing field '{key}'")
     for key in ("n_rrh", "n_users", "n_antennas"):
         value = doc[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{key}: must be a positive integer, got {value!r}")
-    noise = doc["noise_power_w"]
-    if not isinstance(noise, (int, float)) or isinstance(noise, bool) \
-            or not 0.0 < noise < math.inf:  # NaN fails too
-        raise ValueError(f"noise_power_w: must be a finite number > 0, got {noise!r}")
     try:
         arr = np.asarray(doc["h"], dtype=float)
     except (TypeError, ValueError):
@@ -308,7 +307,7 @@ def load_channel_state(path):
     expected = (doc["n_users"], doc["n_rrh"], doc["n_antennas"], 2)
     if arr.shape != expected:
         raise ValueError(f"h: has shape {arr.shape}, expected {expected}")
-    ch = ChannelState(arr[..., 0] + 1j * arr[..., 1], float(noise))
+    ch = ChannelState(arr[..., 0] + 1j * arr[..., 1])
     if "rrh_pos" not in doc and "user_pos" not in doc:
         return ch, None
     positions = []

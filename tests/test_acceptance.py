@@ -174,7 +174,7 @@ def test_criterion_6_single_user_closed_form():
     worst = 0.0
     for i in range(20):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        ch = random_channels(4000 + i, 1, n, m, noise_power_w=0.8)
+        ch = random_channels(4000 + i, 1, n, m)
         caps = tuple(float(c) for c in rng.uniform(0.3, 2.0, n))
         bound = mrt_gamma_upper_bound(ch, caps, 0.8)
         gamma, _ = solve_max_min(ch, AssociationMap.full(n, 1), caps, 0.8, TOL)

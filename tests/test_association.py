@@ -146,7 +146,7 @@ class TestSelectRemoval:
         h[1, 1, 0] = 1.0
         w = np.ones((2, 2, 1), complex)
         from cran_maxmin.model import ChannelState
-        ch = ChannelState(h, 1.0)
+        ch = ChannelState(h)
         choice = select_removal(ch, BeamformerSet(w), {(0, 0), (0, 1)}, 1.0)
         assert (choice.user, choice.rrh) == (0, 0)
 
@@ -154,7 +154,7 @@ class TestSelectRemoval:
         h = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         from cran_maxmin.model import ChannelState
-        ch = ChannelState(h, 0.9)
+        ch = ChannelState(h)
         phi = {(0, 0), (1, 0), (2, 1), (1, 1)}
         expected = _residual_score_by_hand(h, w, 0.9, phi)
         choice = select_removal(ch, BeamformerSet(w), phi, 0.9)
@@ -185,7 +185,7 @@ class TestBenchmark1Select:
         w[0, 0] = [1.0, 0.0]
         w[1, 0] = [0.0, 1.0]
         from cran_maxmin.model import ChannelState
-        ch = ChannelState(h, 1.0)
+        ch = ChannelState(h)
         choice = benchmark1_select(ch, BeamformerSet(w), {(1, 0), (0, 0)})
         assert (choice.user, choice.rrh) == (0, 0)
         assert choice.score == 0.0
@@ -194,7 +194,7 @@ class TestBenchmark1Select:
         h = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         from cran_maxmin.model import ChannelState
-        ch = ChannelState(h, 1.0)
+        ch = ChannelState(h)
         phi = {(0, 0), (2, 0), (1, 1)}
         expected = _leakage_score_by_hand(h, w, phi)
         choice = benchmark1_select(ch, BeamformerSet(w), phi)
@@ -217,7 +217,7 @@ class TestRunAlgorithm1:
     def test_single_link_fronthaul_bound(self):
         # one user, one RRH, tight fronthaul: the guard keeps the only link,
         # and the answer is the fronthaul closed form
-        ch = random_channels(6, 1, 1, 2, noise_power_w=1e-3)
+        ch = random_channels(6, 1, 1, 2)
         bound = mrt_gamma_upper_bound(ch, [1.0], 1e-3)
         t_bar = 10e6 * math.log2(1.0 + bound / 4.0)  # binds below the MRT value
         cfg = _netcfg(ch, 1e-3, (t_bar,))
@@ -296,7 +296,7 @@ class TestBenchmark2:
         h[0, 1, 0] = 0.5
         h[1, 0, 0] = 0.3
         h[1, 1, 0] = 1.0    # user 1 nearest RRH 1
-        ch = ChannelState(h, 0.2)
+        ch = ChannelState(h)
         cfg = _netcfg(ch, 0.2, (9e6, 9e6))
         report = run_benchmark2(ch, cfg, TOL)
         # independent stepping: activations in norm order (0,1) then (1,0)
@@ -393,7 +393,7 @@ class TestBenchmark3:
         from cran_maxmin.channels import Topology
         from cran_maxmin.model import ChannelState
         topo = Topology(np.array([[-100.0, 0.0], [100.0, 0.0]]),
-                        np.array([[-50.0, 0.0], [50.0, 0.0]]), 500.0)
+                        np.array([[-50.0, 0.0], [50.0, 0.0]]))
         assoc = nearest_rrh_association(random_channels(0, 2, 2, 1), topo)
         assert assoc.omega == (frozenset([0]), frozenset([1]))
 
@@ -404,7 +404,7 @@ class TestBenchmark3:
         h[1, 0, 0] = 0.1
         h[1, 1, 0] = 3.0
         from cran_maxmin.model import ChannelState
-        assoc = nearest_rrh_association(ChannelState(h, 1.0))
+        assoc = nearest_rrh_association(ChannelState(h))
         assert assoc.omega == (frozenset([0]), frozenset([1]))
 
     def test_dominated_by_full_cooperation(self):

@@ -47,7 +47,7 @@ class TestCheckFeasible:
 
     def test_single_user_mrt_bound_brackets(self):
         for seed in range(4):
-            ch = random_channels(seed, 1, 2, 2, noise_power_w=1.3)
+            ch = random_channels(seed, 1, 2, 2)
             assoc = AssociationMap.full(2, 1)
             caps = [0.8, 1.5]
             bound = mrt_bound(ch, caps, 1.3)
@@ -73,7 +73,7 @@ class TestCheckFeasible:
             check_feasible(ch, AssociationMap.full(2, 2), 0.5, [1.0] * 3, 1.0)
 
     def test_feasible_point_meets_query(self):
-        ch = random_channels(4, 3, 2, 2, noise_power_w=0.6)
+        ch = random_channels(4, 3, 2, 2)
         assoc = AssociationMap((frozenset([0, 1, 2]), frozenset([1, 2])))
         caps = [1.0, 0.7]
         gamma = 0.3
@@ -109,7 +109,7 @@ class TestCheckFeasible:
 class TestSolveMaxMin:
     def test_single_user_closed_form(self):
         for seed in range(5):
-            ch = random_channels(10 + seed, 1, 2, 2, noise_power_w=0.9)
+            ch = random_channels(10 + seed, 1, 2, 2)
             caps = [0.5, 2.0]
             bound = mrt_bound(ch, caps, 0.9)
             gamma, bf = solve_max_min(ch, AssociationMap.full(2, 1), caps, 0.9, TOL)
@@ -118,7 +118,7 @@ class TestSolveMaxMin:
             assert sinr[0] == pytest.approx(gamma, rel=1e-4)
 
     def test_zero_channels(self):
-        ch = ChannelState(np.zeros((2, 1, 1), complex), 1.0)
+        ch = ChannelState(np.zeros((2, 1, 1), complex))
         gamma, bf = solve_max_min(ch, AssociationMap.full(1, 2), [1.0], 1.0, TOL)
         assert gamma == 0.0 and np.all(bf.w == 0)
 
@@ -128,7 +128,7 @@ class TestSolveMaxMin:
         h = np.zeros((2, 1, 2), complex)
         h[0, 0] = [1.0, 0.0]
         h[1, 0] = [0.0, 1.0]
-        ch = ChannelState(h, 1.0)
+        ch = ChannelState(h)
         gamma, bf = solve_max_min(ch, AssociationMap.full(1, 2), [2.0], 1.0, TOL)
         assert gamma == pytest.approx(1.0, rel=2e-4)
         np.testing.assert_allclose(compute_all_sinrs(ch, bf, 1.0), [1.0, 1.0],
@@ -142,7 +142,7 @@ class TestSolveMaxMin:
 
     def test_equal_sinr_at_optimum(self):
         for seed in range(4):
-            ch = random_channels(30 + seed, 4, 2, 2, noise_power_w=0.5)
+            ch = random_channels(30 + seed, 4, 2, 2)
             gamma, bf = solve_max_min(ch, AssociationMap.full(2, 4),
                                       [1.0, 1.5], 0.5, TOL)
             sinr = compute_all_sinrs(ch, bf, 0.5)
@@ -533,7 +533,7 @@ class TestSolvePowerMin:
     def test_single_user_closed_form(self):
         # with slack caps the optimum beam is matched filtering over the
         # stacked channel: total power = gamma * sigma^2 / ||h||^2
-        ch = random_channels(91, 1, 2, 3, noise_power_w=1.4)
+        ch = random_channels(91, 1, 2, 3)
         total_gain = float(np.sum(np.abs(ch.h) ** 2))
         gamma = 0.7
         bf = solve_power_min(ch, AssociationMap.full(2, 1), gamma,
@@ -542,7 +542,7 @@ class TestSolvePowerMin:
                                                         rel=1e-5)
 
     def test_power_strictly_below_full_budget(self):
-        ch = random_channels(92, 1, 2, 2, noise_power_w=1.0)
+        ch = random_channels(92, 1, 2, 2)
         caps = [1.0, 1.0]
         bound = mrt_bound(ch, caps, 1.0)
         bf = solve_power_min(ch, AssociationMap.full(2, 1), 0.25 * bound, caps, 1.0)
@@ -550,7 +550,7 @@ class TestSolvePowerMin:
 
     def test_all_targets_met_tightly(self):
         for seed in range(3):
-            ch = random_channels(93 + seed, 4, 2, 2, noise_power_w=0.8)
+            ch = random_channels(93 + seed, 4, 2, 2)
             assoc = AssociationMap.full(2, 4)
             g_star, _ = solve_max_min(ch, assoc, [1.0, 1.0], 0.8, TOL)
             target = 0.7 * g_star
@@ -560,7 +560,7 @@ class TestSolvePowerMin:
             assert (sinr.max() - sinr.min()) <= 1e-3 * target
 
     def test_infeasible_target_raises(self):
-        ch = ChannelState(np.ones((1, 1, 1), complex), 1.0)
+        ch = ChannelState(np.ones((1, 1, 1), complex))
         with pytest.raises(ValueError, match="infeasible"):
             solve_power_min(ch, AssociationMap.full(1, 1), 5.0, [1.0], 1.0)
 

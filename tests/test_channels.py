@@ -15,36 +15,35 @@ from cran_maxmin.channels import (
     splitmix64,
     trial_seed,
 )
-from cran_maxmin.harness import ExperimentConfig
+from cran_maxmin.harness import PATHLOSS_A_DB, PATHLOSS_B, RADIUS_M, ExperimentConfig
 
-CFG = ExperimentConfig()  # the default geometry and path loss
+CFG = ExperimentConfig()  # the default minimum distance
 
 
 def _pathloss(distance_m):
-    return pathloss_db(distance_m, CFG.pathloss_a_db, CFG.pathloss_b, CFG.min_distance_m)
+    return pathloss_db(distance_m, PATHLOSS_A_DB, PATHLOSS_B, CFG.min_distance_m)
 
 
-def _channels(topo, n_antennas, rng_seed, noise_power_w):
-    return generate_channels(_pathloss(topo.distances()), n_antennas, rng_seed,
-                             noise_power_w=noise_power_w)
+def _channels(topo, n_antennas, rng_seed):
+    return generate_channels(_pathloss(topo.distances()), n_antennas, rng_seed)
 
 
 class TestDeterminism:
     def test_topology_reproducible(self):
-        a = generate_topology(3, 10, CFG.radius_m, 42)
-        b = generate_topology(3, 10, CFG.radius_m, 42)
+        a = generate_topology(3, 10, RADIUS_M, 42)
+        b = generate_topology(3, 10, RADIUS_M, 42)
         np.testing.assert_array_equal(a.rrh_pos, b.rrh_pos)
         np.testing.assert_array_equal(a.user_pos, b.user_pos)
 
     def test_channels_reproducible(self):
-        topo = generate_topology(2, 4, CFG.radius_m, 1)
-        a = _channels(topo, 3, 7, noise_power_w=1e-12)
-        b = _channels(topo, 3, 7, noise_power_w=1e-12)
+        topo = generate_topology(2, 4, RADIUS_M, 1)
+        a = _channels(topo, 3, 7)
+        b = _channels(topo, 3, 7)
         np.testing.assert_array_equal(a.h, b.h)
 
     def test_different_seeds_differ(self):
-        a = generate_topology(2, 4, CFG.radius_m, 1)
-        b = generate_topology(2, 4, CFG.radius_m, 2)
+        a = generate_topology(2, 4, RADIUS_M, 1)
+        b = generate_topology(2, 4, RADIUS_M, 2)
         assert not np.array_equal(a.user_pos, b.user_pos)
 
     def test_trial_seed_mixing(self):
@@ -56,7 +55,7 @@ class TestDeterminism:
 
 class TestTopology:
     def test_empty_user_list(self):
-        topo = generate_topology(2, 0, CFG.radius_m, 3)
+        topo = generate_topology(2, 0, RADIUS_M, 3)
         assert topo.user_pos.shape == (0, 2)
 
     def test_all_points_inside_disk(self):
@@ -71,7 +70,7 @@ class TestTopology:
         assert abs(mean - 2.0 / 3.0 * 500) < 5.0
 
     def test_distances_shape(self):
-        topo = Topology(np.zeros((2, 2)), np.array([[3.0, 4.0]]), 500.0)
+        topo = Topology(np.zeros((2, 2)), np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(topo.distances(), [[5.0, 5.0]])
 
 
@@ -88,24 +87,24 @@ class TestPathloss:
 
     def test_fading_mean_power_at_one_meter(self):
         # E||h||^2 = M * 10^(-3.06) at d = 1 m; one draw with 10^5 entries
-        topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), 500.0)
+        topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
         M = 100_000
-        ch = _channels(topo, M, 77, noise_power_w=1.0)
+        ch = _channels(topo, M, 77)
         mean_gain = np.mean(np.abs(ch.h[0, 0]) ** 2)
         assert mean_gain == pytest.approx(10 ** (-3.06), rel=0.02)
 
     def test_decay_with_distance(self):
         # gains drop by 10^(-3.67) per decade of distance
         topo = Topology(np.array([[0.0, 0.0]]),
-                        np.array([[10.0, 0.0], [100.0, 0.0]]), 500.0)
-        ch = _channels(topo, 100_000, 78, noise_power_w=1.0)
+                        np.array([[10.0, 0.0], [100.0, 0.0]]))
+        ch = _channels(topo, 100_000, 78)
         g10 = np.mean(np.abs(ch.h[0, 0]) ** 2)
         g100 = np.mean(np.abs(ch.h[1, 0]) ** 2)
         assert g100 / g10 == pytest.approx(10 ** (-3.67), rel=0.05)
 
     def test_entries_uncorrelated(self):
-        topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), 500.0)
-        ch = _channels(topo, 200_000, 79, noise_power_w=1.0)
+        topo = Topology(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        ch = _channels(topo, 200_000, 79)
         g = ch.h[0, 0]
         pairs = [(g.real[0::2], g.real[1::2]),
                  (g.imag[0::2], g.imag[1::2]),
@@ -133,7 +132,5 @@ class TestNoisePower:
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(radius_m=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(min_distance_m=0.0)

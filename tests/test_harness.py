@@ -76,7 +76,6 @@ class TestExperimentConfig:
             tiny_config(tx_power_dbm=[30.0]).power_caps_w()
 
     @pytest.mark.parametrize("field, value", [
-        ("radius_m", 0),
         ("min_distance_m", 0),
         ("tx_power_dbm", [30.0, 30.0]),
         ("fronthaul_cap_bps", [1e7, 1e7]),
@@ -95,7 +94,6 @@ class TestExperimentConfig:
         ("trials", "x"),
         ("trials", 2.5),
         ("tx_power_dbm", "abc"),
-        ("bandwidth_hz", "abc"),
         ("seed", "x"),
         ("fronthaul_sweep_bps", 5e6),
         ("fronthaul_sweep_bps", ["a"]),
@@ -112,12 +110,6 @@ class TestExperimentConfig:
         ("fronthaul_cap_bps", [1e7, math.nan, 1e7]),
         ("tx_power_dbm", math.nan),
         ("tx_power_dbm", [30.0, math.inf, 30.0]),
-        ("bandwidth_hz", math.inf),
-        ("noise_psd_dbm_hz", math.nan),
-        ("noise_figure_db", math.nan),
-        ("radius_m", math.inf),
-        ("pathloss_a_db", math.nan),
-        ("pathloss_b", -math.inf),
         ("min_distance_m", math.inf),
     ])
     def test_non_finite_number_names_its_field(self, field, value, tmp_path):
@@ -142,6 +134,12 @@ class TestExperimentConfig:
         ("bisection_rel_tol", 1e-4),
         ("cone_feas_tol", 1e-7),
         ("max_bisection_iters", 60),
+        ("bandwidth_hz", 10e6),
+        ("noise_psd_dbm_hz", -169.0),
+        ("noise_figure_db", 7.0),
+        ("radius_m", 500.0),
+        ("pathloss_a_db", 30.6),
+        ("pathloss_b", 36.7),
     ])
     def test_removed_field_is_refused(self, field, value, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -225,6 +223,50 @@ def test_workers_default_to_one_whatever_the_environment(tmp_path, monkeypatch):
     out = tmp_path / "results.csv"
     assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_trial(tmp_path, monkeypatch, capsys):
+    # a process pool forks all of its max_workers at the first submit
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_config(fronthaul_sweep_bps=[8e6], schemes=["bench3"])
+    run_sweep(cfg, workers=64)
+    assert made == [cfg.trials]
+    run_sweep(tiny_config(trials=1, fronthaul_sweep_bps=[8e6], schemes=["bench3"]), workers=64)
+    assert made == [cfg.trials]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, fronthaul_sweep_bps=[8e6], schemes=["bench3"])))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv"),
+                     "--threads", "64"]) == 0
+    assert made == [cfg.trials] * 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_one_error_line(tmp_path, monkeypatch, capsys, threads):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append(args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    out = tmp_path / "o.csv"
+    code = cli_main(["sweep", "--config", str(path), "--out", str(out), "--threads", threads])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --threads") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
 
 
 def test_failing_run_is_an_error_row(sweep_result, monkeypatch, caplog):
@@ -337,7 +379,6 @@ class TestCli:
         ch, _ = load_channel_state(out)
         _, expected = draw_trial(tiny_config(seed=3), 0)
         assert np.array_equal(ch.h, expected.h)
-        assert ch.noise_power_w == expected.noise_power_w
 
     @pytest.mark.parametrize("scheme", list(RUNNERS))
     def test_solve_accepts_every_registered_scheme(self, tmp_path, capsys, scheme):
@@ -382,6 +423,62 @@ class TestCli:
         assert doc["scheme"] == "bench3"
         assert {"t", "gamma1", "gamma2", "gamma", "removed_user", "removed_rrh",
                 "omega_sizes"} <= set(doc["iterations"][0])
+
+    def test_solve_refuses_an_unwritable_trace_out_before_solving(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3", "--out", str(chan)])
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setitem(harness.RUNNERS, "alg1", lambda *args: calls.append(args))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for trace in (folder, tmp_path / "missing" / "trace.json"):
+            code = cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
+                             "--config", str(cfg), "--trace-out", str(trace)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(trace) in err
+        assert calls == []
+
+    def test_failed_solve_keeps_an_existing_trace_file(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("solve failed")
+
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3", "--out", str(chan)])
+        monkeypatch.setitem(harness.RUNNERS, "alg1", broken)
+        trace = tmp_path / "trace.json"
+        trace.write_text("earlier trace\n")
+        code = cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
+                         "--config", str(cfg), "--trace-out", str(trace)])
+        assert code == 1 and "solve failed" in capsys.readouterr().err
+        assert trace.read_text() == "earlier trace\n"
+
+    def test_gen_channels_writes_exactly_the_known_keys(self, tmp_path, capsys):
+        out = tmp_path / "chan.json"
+        assert cli_main(["gen-channels", "--config", str(self._config_file(tmp_path)),
+                         "--seed", "3", "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"n_rrh", "n_users", "n_antennas", "h",
+                                                    "rrh_pos", "user_pos"}
+
+    @pytest.mark.parametrize("key, value", [("noise_power_w", 1e-13), ("bogus", 1)])
+    def test_channel_file_with_an_unknown_key_is_one_error_line(self, tmp_path, capsys,
+                                                                key, value):
+        # the noise power comes from the config alone
+        cfg = self._config_file(tmp_path)
+        chan = tmp_path / "chan.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3", "--out", str(chan)])
+        capsys.readouterr()
+        chan.write_text(json.dumps(dict(json.loads(chan.read_text()), **{key: value})))
+        code = cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
+                         "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
+        assert ("noise power comes from the config" in err) == (key == "noise_power_w")
 
     def test_solve_replays_the_sweep_rows_of_its_draw(self, tmp_path, capsys):
         # gen-channels at the config's seed writes the sweep's trial 0; its

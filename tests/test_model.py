@@ -45,12 +45,12 @@ def _sinr_by_hand(h, w, sigma2, k):
 
 class TestComputeSinr:
     def test_single_user_no_interference(self):
-        ch = ChannelState(np.ones((1, 1, 1)), 1.0)
+        ch = ChannelState(np.ones((1, 1, 1)))
         bf = BeamformerSet(2.0 * np.ones((1, 1, 1)))
         assert compute_all_sinrs(ch, bf, 1.0)[0] == pytest.approx(4.0)
 
     def test_two_user_symmetric(self):
-        ch = ChannelState(np.ones((2, 1, 1)), 1.0)
+        ch = ChannelState(np.ones((2, 1, 1)))
         bf = BeamformerSet(np.ones((2, 1, 1)))
         assert compute_all_sinrs(ch, bf, 1.0)[0] == pytest.approx(0.5)
         assert compute_all_sinrs(ch, bf, 1.0)[1] == pytest.approx(0.5)
@@ -58,13 +58,13 @@ class TestComputeSinr:
     def test_matches_term_by_term_evaluation(self, rng):
         h = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
         w = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        ch, bf = ChannelState(h, 0.7), BeamformerSet(w)
+        ch, bf = ChannelState(h), BeamformerSet(w)
         for k in range(2):
             assert compute_all_sinrs(ch, bf, 0.7)[k] == pytest.approx(
                 _sinr_by_hand(h, w, 0.7, k), rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
-        ch = ChannelState(np.ones((2, 1, 1)), 1.0)
+        ch = ChannelState(np.ones((2, 1, 1)))
         bf = BeamformerSet(np.ones((2, 2, 1)))
         with pytest.raises(ValueError):
             compute_all_sinrs(ch, bf, 1.0)
@@ -77,16 +77,15 @@ class TestComputeSinr:
         h = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         c = mag * np.exp(1j * phase)
-        base = compute_all_sinrs(ChannelState(h, 1.3), BeamformerSet(w), 1.3)
-        scaled = compute_all_sinrs(ChannelState(c * h, 1.3 * mag ** 2),
-                                   BeamformerSet(w), 1.3 * mag ** 2)
+        base = compute_all_sinrs(ChannelState(h), BeamformerSet(w), 1.3)
+        scaled = compute_all_sinrs(ChannelState(c * h), BeamformerSet(w), 1.3 * mag ** 2)
         np.testing.assert_allclose(scaled, base, rtol=1e-9)
 
     def test_single_user_closed_form(self, rng):
         h = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         w = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
         expected = abs(np.sum(h.conj() * w)) ** 2 / 2.1
-        assert compute_all_sinrs(ChannelState(h, 2.1), BeamformerSet(w), 2.1)[0] == \
+        assert compute_all_sinrs(ChannelState(h), BeamformerSet(w), 2.1)[0] == \
             pytest.approx(expected, rel=1e-12)
 
 
@@ -208,21 +207,20 @@ class TestTypes:
         h = np.ones((1, 1, 1), complex)
         h[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            ChannelState(h, 1.0)
+            ChannelState(h)
 
 
 class TestChannelFile:
     def test_roundtrip(self, tmp_path, rng):
         h = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
-        ch = ChannelState(h, 2.5e-13)
+        ch = ChannelState(h)
         path = tmp_path / "chan.json"
         save_channel_state(ch, path)
         back, _ = load_channel_state(path)
         np.testing.assert_array_equal(back.h, ch.h)
-        assert back.noise_power_w == ch.noise_power_w
 
     def test_interleaved_layout(self, tmp_path):
-        ch = ChannelState(np.array([[[1.5 - 2.5j]]]), 1.0)
+        ch = ChannelState(np.array([[[1.5 - 2.5j]]]))
         path = tmp_path / "chan.json"
         save_channel_state(ch, path)
         doc = json.loads(path.read_text())
@@ -230,7 +228,7 @@ class TestChannelFile:
         assert doc["n_users"] == 1 and doc["n_rrh"] == 1 and doc["n_antennas"] == 1
 
     def test_positions_roundtrip(self, tmp_path, rng):
-        ch = ChannelState(np.ones((3, 2, 1), complex), 1.0)
+        ch = ChannelState(np.ones((3, 2, 1), complex))
         rrh, users = rng.standard_normal((2, 2)), rng.standard_normal((3, 2))
         path = tmp_path / "chan.json"
         save_channel_state(ch, path, positions=(rrh, users))
@@ -241,7 +239,7 @@ class TestChannelFile:
 
     def test_file_without_positions_has_none(self, tmp_path):
         path = tmp_path / "chan.json"
-        save_channel_state(ChannelState(np.ones((3, 2, 1), complex), 1.0), path)
+        save_channel_state(ChannelState(np.ones((3, 2, 1), complex)), path)
         assert "rrh_pos" not in json.loads(path.read_text())
         assert load_channel_state(path)[1] is None
 
@@ -250,7 +248,7 @@ class TestChannelFile:
         ("user_pos", [["a", 1.0]] * 3), ("rrh_pos", [[0.0, float("nan")]] * 2)])
     def test_bad_positions_are_named(self, tmp_path, field, value):
         path = tmp_path / "chan.json"
-        save_channel_state(ChannelState(np.ones((3, 2, 1), complex), 1.0), path,
+        save_channel_state(ChannelState(np.ones((3, 2, 1), complex)), path,
                            positions=(np.zeros((2, 2)), np.zeros((3, 2))))
         doc = json.loads(path.read_text())
         doc[field] = value
@@ -261,26 +259,22 @@ class TestChannelFile:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n_rrh": 1, "n_users": 1, "n_antennas": 1}')
-        with pytest.raises(ValueError, match="noise_power_w"):
+        with pytest.raises(ValueError, match="missing field 'h'"):
             load_channel_state(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "n_rrh": 2, "n_users": 1, "n_antennas": 1, "noise_power_w": 1.0,
-            "h": [[[[1.0, 0.0]]]]}))
+            "n_rrh": 2, "n_users": 1, "n_antennas": 1, "h": [[[[1.0, 0.0]]]]}))
         with pytest.raises(ValueError, match="shape"):
             load_channel_state(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("noise_power_w", None), ("noise_power_w", "1e-13"), ("noise_power_w", 0.0),
-        ("noise_power_w", -1.0), ("noise_power_w", float("inf")),
-        ("noise_power_w", float("nan")), ("noise_power_w", True),
         ("n_users", "3"), ("n_users", 0), ("n_users", 3.0), ("n_rrh", None),
         ("n_rrh", True), ("n_antennas", -2)])
     def test_bad_number_field_is_named(self, tmp_path, field, value):
         path = tmp_path / "chan.json"
-        save_channel_state(ChannelState(np.ones((3, 1, 2), complex), 1.0), path)
+        save_channel_state(ChannelState(np.ones((3, 1, 2), complex)), path)
         doc = json.loads(path.read_text())
         doc[field] = value
         path.write_text(json.dumps(doc))
@@ -289,7 +283,7 @@ class TestChannelFile:
 
     def test_entries_of_h_that_are_not_numbers_are_named(self, tmp_path):
         path = tmp_path / "chan.json"
-        save_channel_state(ChannelState(np.ones((1, 1, 1), complex), 1.0), path)
+        save_channel_state(ChannelState(np.ones((1, 1, 1), complex)), path)
         doc = json.loads(path.read_text())
         doc["h"] = [[[["one", 0.0]]]]
         path.write_text(json.dumps(doc))

@@ -36,7 +36,7 @@ def spread_channels(seed):
     """Per-link attenuation spread evenly over 0 to 100 dB."""
     ch = random_channels(seed, 6, 3, 2)
     loss_db = np.random.default_rng(seed).permutation(np.linspace(0.0, 100.0, 18))
-    return ChannelState(ch.h * 10.0 ** (-loss_db.reshape(6, 3, 1) / 20.0), 1.0)
+    return ChannelState(ch.h * 10.0 ** (-loss_db.reshape(6, 3, 1) / 20.0))
 
 
 def _fixtures():

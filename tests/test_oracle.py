@@ -98,7 +98,7 @@ class TestSolveFixedAssociation:
         assert gamma == g1
 
     def test_single_user_tight_fronthaul(self):
-        ch = random_channels(1, 1, 1, 2, noise_power_w=1e-4)
+        ch = random_channels(1, 1, 1, 2)
         t_bar = 3e6
         cfg = _netcfg(ch, 1e-4, (t_bar,))
         gamma, _ = solve_fixed_association(ch, AssociationMap.full(1, 1), cfg, TOL)
