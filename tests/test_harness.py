@@ -95,6 +95,7 @@ class TestExperimentConfig:
         ("trials", 2.5),
         ("tx_power_dbm", "abc"),
         ("seed", "x"),
+        ("min_distance_m", "abc"),
         ("fronthaul_sweep_bps", 5e6),
         ("fronthaul_sweep_bps", ["a"]),
         ("schemes", None),
@@ -111,6 +112,7 @@ class TestExperimentConfig:
         ("tx_power_dbm", math.nan),
         ("tx_power_dbm", [30.0, math.inf, 30.0]),
         ("min_distance_m", math.inf),
+        ("min_distance_m", math.nan),
     ])
     def test_non_finite_number_names_its_field(self, field, value, tmp_path):
         # JSON reads NaN and Infinity; only a fronthaul capacity may be +inf
