@@ -94,9 +94,9 @@ class SolveCache:
                 raise
         return self._value[key][0]
 
-    def max_min(self, assoc: AssociationMap, gamma_upper_hint=None):
+    def max_min(self, assoc: AssociationMap):
         """(gamma1, tightened max-min beamformers), as `solve_max_min`."""
-        gamma1 = self.value(assoc, gamma_upper_hint)
+        gamma1 = self.value(assoc)
         key = assoc.omega
         if key not in self._max_min:
             self._max_min[key] = tighten_max_min(

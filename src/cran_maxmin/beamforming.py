@@ -82,8 +82,8 @@ class SolverTolerances:
 
 @dataclass
 class SolverStats:
-    """One cone solve.  margin is a probe's optimal margin; slope, for an
-    optimal probe at gamma > 0, is its derivative in t = sqrt(gamma), read
+    """One cone solve.  margin is a probe's optimal margin; slope, for a
+    probe solved to optimality, is its derivative in t = sqrt(gamma), read
     off the optimal (s, z) by the envelope theorem, and None otherwise."""
 
     status: str
@@ -122,7 +122,7 @@ class _Template(NamedTuple):
     """One cone program at gamma = 1.  G's entries flagged in scaled (those
     on the interference rows, tail_rows) and h's noise_rows scale with
     sqrt(gamma).  layout is the Newton-system structure of G's pattern,
-    which every instance that drops no entry shares."""
+    which every instance shares."""
 
     G: CooMatrix
     scaled: np.ndarray
@@ -141,7 +141,8 @@ class _BeamProblem:
     template's G is built straight into sorted COO form (`CooMatrix`),
     vectorized over the links, and each probe scales only its flagged
     entries: no dense G is formed, copied or scanned.  Each public
-    operation builds a problem first, as the only check of its inputs.
+    operation builds a problem first, which checks its inputs and decides
+    its trivial targets (`_trivial`).
     """
 
     def __init__(self, ch: ChannelState, assoc: AssociationMap, power_cap_w,
@@ -232,22 +233,19 @@ class _BeamProblem:
 
     def _instantiate(self, template: _Template, gamma: float):
         """(G, h, spec) at SINR target gamma: the interference entries and the
-        noise amplitude times sqrt(gamma).  An entry that becomes exactly 0
-        (gamma = 0, or an underflow) is dropped, as `CooMatrix` requires."""
+        noise amplitude times sqrt(gamma).  G keeps the template's own row
+        and col arrays, so an entry that becomes 0 stays an explicit zero."""
         G, sq = template.G, math.sqrt(gamma)
         val = G.val.copy()
         val[template.scaled] *= sq
-        keep = val != 0.0
         h = template.h.copy()
         h[template.noise_rows] *= sq
-        return CooMatrix(G.row[keep], G.col[keep], val[keep], G.shape), h, template.spec
+        return G._replace(val=val), h, template.spec
 
     def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None):
-        """solve_socp on the template at gamma, with the template's Newton
-        layout while the instance keeps every entry of the template."""
-        G2, h2, spec = self._instantiate(template, gamma)
-        layout = template.layout if len(G2.val) == len(template.G.val) else None
-        return solve_socp(c, G2, h2, spec, start=start, layout=layout)
+        """solve_socp on the template at gamma, with the template's Newton layout."""
+        G, h, spec = self._instantiate(template, gamma)
+        return solve_socp(c, G, h, spec, start=start, layout=template.layout)
 
     def zeros(self) -> BeamformerSet:
         return BeamformerSet.zeros(self.K, self.N, self.M)
@@ -265,11 +263,28 @@ class _BeamProblem:
         return BeamformerSet(w)
 
     # -- solves -------------------------------------------------------------
+    def _trivial(self, gamma: float) -> Optional[FeasibilityOutcome]:
+        """The verdict at SINR target gamma when it takes no cone solve, else
+        None: zero beamformers meet gamma = 0, and a positive target with an
+        unserved user is infeasible.  gamma < 0 is refused."""
+        if gamma < 0:
+            raise ValueError("gamma_target must be nonnegative")
+        if gamma == 0.0:
+            return FeasibilityOutcome("feasible", self.zeros(),
+                                      SolverStats("optimal", 0, 0.0, 0.0, 0.0))
+        if self.unserved:
+            return FeasibilityOutcome("infeasible", None,
+                                      SolverStats("optimal", 0, -math.inf, 0.0, 0.0))
+        return None
+
     def probe(self, gamma: float, tol: SolverTolerances) -> FeasibilityOutcome:
-        """Feasibility verdict at SINR target gamma from the optimal margin:
-        feasible iff it clears -cone_feas_tol, indeterminate if the solver
-        stalled.  The solve starts from the last optimal probe's solution
-        when gamma is within _WARM_GATE of its target, cold otherwise."""
+        """Feasibility verdict at SINR target gamma: `_trivial`'s, else from
+        the optimal margin (feasible iff it clears -cone_feas_tol), else
+        indeterminate.  The solve starts from the last optimal probe's
+        solution when gamma is within _WARM_GATE of its target, else cold."""
+        trivial = self._trivial(gamma)
+        if trivial is not None:
+            return trivial
         if self._margin is None:
             self._margin = self._build(margin=True)
         c = np.zeros(self.nx)
@@ -284,16 +299,20 @@ class _BeamProblem:
         stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
         if res.status != "optimal":
             return FeasibilityOutcome("indeterminate", None, stats)
-        if gamma > 0.0:
-            # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
-            tail, noise = self._margin.tail_rows, self._margin.noise_rows
-            stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
+        # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
+        tail, noise = self._margin.tail_rows, self._margin.noise_rows
+        stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
         if margin >= -tol.cone_feas_tol:
             return FeasibilityOutcome("feasible", self.unpack(res.x), stats)
         return FeasibilityOutcome("infeasible", None, stats)
 
     def solve_power_min(self, gamma: float):
-        """Minimize total transmit power at fixed SINR target gamma."""
+        """Minimum-power beamformers at SINR target gamma; an infeasible one raises ValueError."""
+        trivial = self._trivial(gamma)
+        if trivial is not None:
+            if trivial.beamformers is None:
+                raise ValueError("positive SINR target with an unserved user is infeasible")
+            return trivial.beamformers
         if self._power is None:
             self._power = self._build(margin=False)
         c = np.zeros(self.nx)
@@ -315,17 +334,8 @@ class _BeamProblem:
 def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
                    power_cap_w, noise_power_w: float,
                    tol: SolverTolerances = SolverTolerances()) -> FeasibilityOutcome:
-    """Decide whether SINR target gamma_target is achievable at every user."""
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
-    if gamma_target < 0:
-        raise ValueError("gamma_target must be nonnegative")
-    if gamma_target == 0.0:
-        return FeasibilityOutcome("feasible", prob.zeros(),
-                                  SolverStats("optimal", 0, 0.0, 0.0, 0.0))
-    if prob.unserved:
-        return FeasibilityOutcome("infeasible", None,
-                                  SolverStats("optimal", 0, -math.inf, 0.0, 0.0))
-    return prob.probe(gamma_target, tol)
+    """Whether SINR target gamma_target is achievable at every user (`_BeamProblem.probe`)."""
+    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target, tol)
 
 
 def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
@@ -411,10 +421,8 @@ def tighten_max_min(ch: ChannelState, assoc: AssociationMap, gamma: float,
     (gamma, probe_bf): a power-minimization solve at gamma, so every user
     sits exactly at the common SINR.  If that solve fails at gamma and at
     gamma (1 - 1e-6), probe_bf is returned and a WARNING is logged.  Only
-    the power template is built.
+    the power template is built, and none at gamma = 0.
     """
-    if gamma == 0.0:
-        return probe_bf
     prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
     statuses = []
     for target in (gamma, gamma * (1.0 - 1e-6)):
@@ -446,16 +454,7 @@ def solve_max_min(ch: ChannelState, assoc: AssociationMap, power_cap_w,
 
 def solve_power_min(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
                     power_cap_w, noise_power_w: float) -> BeamformerSet:
-    """Beamformers meeting SINR target gamma_target with minimum total power.
-
-    The caller must pass a feasible target; an infeasible one raises
-    ValueError (contract violation).
-    """
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
-    if gamma_target < 0:
-        raise ValueError("gamma_target must be nonnegative")
-    if gamma_target == 0.0:
-        return prob.zeros()
-    if prob.unserved:
-        raise ValueError("positive SINR target with an unserved user is infeasible")
-    return prob.solve_power_min(gamma_target)
+    """Beamformers meeting SINR target gamma_target with minimum total power
+    (`_BeamProblem.solve_power_min`).  The caller must pass a feasible
+    target; an infeasible one raises ValueError (contract violation)."""
+    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).solve_power_min(gamma_target)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 solver indeterminate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -73,6 +74,25 @@ def _cmd_gen_channels(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """Refuse an output path that cannot be written before the run: open it
+    in append mode, which creates the file if need be and truncates nothing.
+    If the run fails, a file that did not exist before is removed."""
+    if not path:
+        yield
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def _load_instance(args):
     """(config, channels, NetworkConfig at --fronthaul-bps or the config's
     single capacity, topology or None).  The topology holds the file's
@@ -91,22 +111,20 @@ def _load_instance(args):
 
 def _cmd_solve(args) -> int:
     cfg, ch, netcfg, topo = _load_instance(args)
-    if args.trace_out:  # refuse an unwritable path before solving, as sweep --out
-        with open(args.trace_out, "a", encoding="utf-8"):
-            pass
-    report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), topo, None)
-    for rec in report.iterations:
-        removed = "-" if rec.removed_user is None \
-            else f"({rec.removed_user},{rec.removed_rrh})"
-        print(f"t={rec.t} gamma1={rec.gamma1:.6g} gamma2={rec.gamma2:.6g} "
-              f"gamma={rec.gamma:.6g} removed={removed} "
-              f"omega_sizes={list(rec.omega_sizes)}")
-    print(f"final gamma={report.final_gamma:.6g} ({to_db(report.final_gamma):.3f} dB) "
-          f"omega={[sorted(s) for s in report.final_association.omega]}")
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
-            f.write("\n")
+    with _output_file(args.trace_out):
+        report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), topo, None)
+        for rec in report.iterations:
+            removed = "-" if rec.removed_user is None \
+                else f"({rec.removed_user},{rec.removed_rrh})"
+            print(f"t={rec.t} gamma1={rec.gamma1:.6g} gamma2={rec.gamma2:.6g} "
+                  f"gamma={rec.gamma:.6g} removed={removed} "
+                  f"omega_sizes={list(rec.omega_sizes)}")
+        print(f"final gamma={report.final_gamma:.6g} ({to_db(report.final_gamma):.3f} dB) "
+              f"omega={[sorted(s) for s in report.final_association.omega]}")
+        if args.trace_out:
+            with open(args.trace_out, "w", encoding="utf-8") as f:
+                json.dump(report.to_dict(), f, indent=2)
+                f.write("\n")
     return 0
 
 
@@ -114,12 +132,9 @@ def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.threads < 1:
         raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-    # refuse an output path that cannot be written before the first trial;
-    # append mode creates the file if need be and truncates nothing
-    with open(args.out, "a", encoding="utf-8"):
-        pass
-    rows, aggregates = run_sweep(cfg, args.threads)
-    write_csv(args.out, rows, aggregates, timing=args.timing)
+    with _output_file(args.out):
+        rows, aggregates = run_sweep(cfg, args.threads)
+        write_csv(args.out, rows, aggregates, timing=args.timing)
     print(f"wrote {args.out}: {len(rows)} rows, {len(aggregates)} aggregates")
     return 0
 

@@ -58,8 +58,10 @@ _WARM_WEIGHT = 0.9999
 
 
 class CooMatrix(NamedTuple):
-    """A matrix as its nonzero entries (row[i], col[i]) = val[i], sorted
-    row-major (the order `np.nonzero` gives) and holding no exact zero."""
+    """A matrix as its entries (row[i], col[i]) = val[i], sorted row-major
+    (the order `np.nonzero` gives).  A cone template holds no exact zero; an
+    instance, which scales a template's values on the template's pattern,
+    may hold explicit zeros."""
 
     row: np.ndarray
     col: np.ndarray

@@ -553,7 +553,7 @@ class TestSolveCacheFailures:
         assoc = AssociationMap.full(2, 3)
         for hint in (None, 5.0, None, 5.0, 6.0):
             with pytest.raises(SolverIndeterminate):
-                cache.max_min(assoc, gamma_upper_hint=hint)
+                cache.value(assoc, hint)
         assert calls == [None, 5.0, 6.0]
 
     def test_other_lower_hint_still_solves(self, monkeypatch):

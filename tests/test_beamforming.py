@@ -642,6 +642,21 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="unserved"):
             self.CALLS["solve_power_min"](self.UNSERVED, 0.5, caps)
 
+    def test_the_problem_decides_trivial_targets_itself(self):
+        tol = SolverTolerances()
+        full = beamforming._BeamProblem(self.CH, self.FULL, [1.0, 1.0], 1.0)
+        out = full.probe(0.0, tol)
+        assert out.status == "feasible" and not out.beamformers.w.any()
+        assert out.solver_stats.slope is None
+        assert not full.solve_power_min(0.0).w.any()
+        unserved = beamforming._BeamProblem(self.CH, self.UNSERVED, [1.0, 1.0], 1.0)
+        assert unserved.probe(0.5, tol).status == "infeasible"
+        with pytest.raises(ValueError, match="unserved"):
+            unserved.solve_power_min(0.5)
+        for call in (lambda: full.probe(-1.0, tol), lambda: full.solve_power_min(-1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
 
 @pytest.mark.xfail(strict=True, reason="the IPM still stalls on a paper-scale draw "
                    "with a user 1.3 m from an RRH")

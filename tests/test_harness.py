@@ -13,6 +13,7 @@ import pytest
 
 from cran_maxmin import cli, harness
 from cran_maxmin.association import nearest_rrh_association, run_benchmark3
+from cran_maxmin.beamforming import SolverIndeterminate
 from cran_maxmin.cli import cli_main
 from cran_maxmin.harness import (
     RUNNERS,
@@ -444,20 +445,25 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1 and str(trace) in err
         assert calls == []
 
-    def test_failed_solve_keeps_an_existing_trace_file(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("error, code", [(ValueError("solve failed"), 1),
+                                             (SolverIndeterminate("solve failed"), 2)],
+                             ids=["error", "indeterminate"])
+    def test_failed_solve_leaves_its_trace_path_as_it_was(self, tmp_path, capsys,
+                                                          monkeypatch, error, code):
         def broken(*args):
-            raise ValueError("solve failed")
+            raise error
 
         cfg = self._config_file(tmp_path)
         chan = tmp_path / "chan.json"
         cli_main(["gen-channels", "--config", str(cfg), "--seed", "3", "--out", str(chan)])
         monkeypatch.setitem(harness.RUNNERS, "alg1", broken)
-        trace = tmp_path / "trace.json"
-        trace.write_text("earlier trace\n")
-        code = cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
-                         "--config", str(cfg), "--trace-out", str(trace)])
-        assert code == 1 and "solve failed" in capsys.readouterr().err
-        assert trace.read_text() == "earlier trace\n"
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"earlier trace\n")
+        for trace in (new, old):
+            assert cli_main(["solve", "--scheme", "alg1", "--channels", str(chan),
+                             "--config", str(cfg), "--trace-out", str(trace)]) == code
+            assert "solve failed" in capsys.readouterr().err
+        assert not new.exists() and old.read_bytes() == b"earlier trace\n"
 
     def test_gen_channels_writes_exactly_the_known_keys(self, tmp_path, capsys):
         out = tmp_path / "chan.json"
@@ -524,17 +530,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(folder) in err
         assert calls == []
 
-    def test_failed_sweep_keeps_an_existing_out_file(self, tmp_path, capsys, monkeypatch):
+    def test_failed_sweep_leaves_its_out_path_as_it_was(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
             raise ValueError("sweep failed")
 
         monkeypatch.setattr(cli, "run_sweep", broken)
-        out = tmp_path / "results.csv"
-        out.write_text("earlier results\n")
-        code = cli_main(["sweep", "--config", str(self._config_file(tmp_path)),
-                         "--out", str(out)])
-        assert code == 1 and "sweep failed" in capsys.readouterr().err
-        assert out.read_text() == "earlier results\n"
+        cfg = self._config_file(tmp_path)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"earlier results\n")
+        for out in (new, old):
+            code = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+            assert code == 1 and "sweep failed" in capsys.readouterr().err
+        assert not new.exists() and old.read_bytes() == b"earlier results\n"
 
     def test_missing_config_exit_1_names_path(self, tmp_path, capsys):
         code = cli_main(["sweep", "--config", str(tmp_path / "missing.json"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
-from cran_maxmin import socp
+from cran_maxmin import beamforming, socp
 from cran_maxmin.association import nearest_rrh_association
 from cran_maxmin.beamforming import _BeamProblem, solve_max_min
 from cran_maxmin.model import AssociationMap, ChannelState
@@ -213,24 +213,31 @@ def test_a_shared_layout_solves_bit_for_bit_as_a_fresh_one(margin):
         assert _bytes(shared) == _bytes(fresh)
 
 
-def test_an_instance_that_drops_entries_gets_a_layout_of_its_own(monkeypatch):
+def test_an_instance_keeps_the_template_pattern_and_layout(monkeypatch):
     ch = random_channels(1, 15, 5, 5)
     prob = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
     template = prob._build(True)
-    built = []
-    layout = socp.NewtonLayout
+    built, solved = [], []
+    layout, solve = socp.NewtonLayout, beamforming.solve_socp
 
-    def recorded(G, spec):
+    def recorded_layout(G, spec):
         built.append(len(G.val))
         return layout(G, spec)
 
-    monkeypatch.setattr(socp, "NewtonLayout", recorded)
+    def recorded_solve(c, G, h, spec, **kwargs):
+        solved.append((G, kwargs["layout"]))
+        return solve(c, G, h, spec, **kwargs)
+
+    monkeypatch.setattr(socp, "NewtonLayout", recorded_layout)
+    monkeypatch.setattr(beamforming, "solve_socp", recorded_solve)
     c = np.zeros(prob.nx)
     c[0] = -1.0
-    prob._solve(template, 1e-2, c)
+    prob._solve(template, 0.0, c)  # every interference entry is an explicit zero
     assert built == []
-    prob._solve(template, 0.0, c)  # every interference entry drops out
-    assert len(built) == 1 and built[0] < len(template.G.val)
+    [(G, used)] = solved
+    assert G.row is template.G.row and G.col is template.G.col
+    assert used is template.layout
+    assert not G.val[template.scaled].any()
 
 
 # PSD with an exactly zero second pivot, and indefinite
