@@ -205,11 +205,13 @@ def benchmark1_select(ch: ChannelState, bf1: BeamformerSet, phi: set) -> LinkCho
 # ---------------------------------------------------------------------------
 
 def _finish(report: SolveReport, gamma: float, read, cfg: NetworkConfig) -> SolveReport:
-    """A scheme run's answer: gamma, read()'s beamformers, their association."""
-    bf = read()
-    report.final_gamma, report.final_beamformers = gamma, bf
-    report.final_association = AssociationMap.from_indicator(
-        association_indicator(bf, cfg.power_cap_w))
+    """A scheme run's answer: gamma now; read()'s beamformers and their
+    association when `SolveReport` is first asked for them."""
+    def final():
+        bf = read()
+        return bf, AssociationMap.from_indicator(association_indicator(bf, cfg.power_cap_w))
+
+    report.final_gamma, report.read = gamma, final
     return report
 
 
@@ -281,52 +283,95 @@ def nearest_rrh_association(ch: ChannelState, topology=None) -> AssociationMap:
     return AssociationMap(tuple(frozenset(s) for s in omega))
 
 
+def _activation_path(ch: ChannelState, cfg: NetworkConfig, topology=None) -> list:
+    """bench2's associations in order, each with the link that made it (None
+    for the first): each user on its nearest RRH, then one strongest
+    inactive link per step until every link is active.  No solve is needed."""
+    assoc = nearest_rrh_association(ch, topology)
+    norms = np.linalg.norm(ch.h, axis=2) ** 2
+    inactive = {(k, n): norms[k, n] for k in range(cfg.n_users) for n in range(cfg.n_rrh)
+                if k not in assoc.omega[n]}
+    path = [(assoc, None)]
+    while inactive:
+        link = _argmax_link(inactive)
+        del inactive[(link.user, link.rrh)]
+        omega = list(assoc.omega)
+        omega[link.rrh] = omega[link.rrh] | {link.user}
+        assoc = AssociationMap(tuple(omega))
+        path.append((assoc, link))
+    return path
+
+
 def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
                    tol: SolverTolerances = SolverTolerances(),
                    topology=None,
                    cache: Optional[SolveCache] = None) -> SolveReport:
     """Channel-based greedy activation: start from nearest-RRH association,
-    activate the strongest inactive link per iteration, stop at the first
-    drop of the max-min SINR and report the pre-drop iterate.  A dip of at
-    most 2 bisection_rel_tol, the noise between two separate solves, is not
-    a drop.  Each activation adds a link, so the last gamma1 is a value the
-    new association reaches too; it starts the next search from below.
+    activate the strongest inactive link per step (`_activation_path`), stop
+    at the first drop of the max-min SINR and report the pre-drop iterate.
+    A dip of at most 2 bisection_rel_tol, the noise between two separate
+    solves, is not a drop.
+
+    The first drop is found by bisection, not by walking the path.  Each
+    step adds a link, so gamma1 cannot fall by more than the tolerance, and
+    adds a load, so gamma2 cannot rise.  A drop therefore needs gamma2 to
+    fall, and over the steps where it falls the drop test is false and then
+    true.  A test solves the step and the one before it.  The start is
+    solved first, with no hints; every later search starts from the nearest
+    solved gamma1 before it and is bounded by the nearest one after it.
+    A step the search skips is recorded with gamma1 and gamma None.
     """
     report = SolveReport(scheme_label="bench2")
     if cache is None:
         cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
-    assoc = nearest_rrh_association(ch, topology)
-    norms = np.linalg.norm(ch.h, axis=2) ** 2
+    path = _activation_path(ch, cfg, topology)
+    gamma2 = [fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
+              for assoc, _ in path]
+    solved = {}  # step index -> (gamma1, gamma, read)
+    keep = 1.0 - 2.0 * tol.bisection_rel_tol
 
-    best = None  # (gamma, read)
-    prev_gamma, gamma1 = -math.inf, None
-    activated: Optional[LinkChoice] = None
-    try:
-        for t in range(1, cfg.n_rrh * cfg.n_users + 2):
-            gamma1, gamma2, gamma_t, read_t = cache.evaluate(
-                assoc, cfg, gamma_lower_hint=gamma1)
-            report.iterations.append(IterationRecord(
-                t, gamma1, gamma2, gamma_t,
-                activated.user if activated else None,
-                activated.rrh if activated else None,
-                assoc.sizes()))
-            if gamma_t < prev_gamma * (1.0 - 2.0 * tol.bisection_rel_tol):
-                break
-            best = (gamma_t, read_t)
-            prev_gamma = gamma_t
-            inactive = {(k, n): norms[k, n]
-                        for k in range(cfg.n_users) for n in range(cfg.n_rrh)
-                        if k not in assoc.omega[n]}
-            if not inactive:
-                break
-            activated = _argmax_link(inactive)
-            omega = list(assoc.omega)
-            omega[activated.rrh] = omega[activated.rrh] | {activated.user}
-            assoc = AssociationMap(tuple(omega))
-        return _finish(report, *best, cfg)
-    except SolverIndeterminate as exc:
-        exc.partial_report = report
-        raise
+    def records(n):
+        out = []
+        for i, (assoc, link) in enumerate(path[:n]):
+            gamma1, gamma = solved.get(i, (None, None))[:2]
+            out.append(IterationRecord(i + 1, gamma1, gamma2[i], gamma,
+                                       link.user if link else None,
+                                       link.rrh if link else None, assoc.sizes()))
+        return out
+
+    def solve(i):
+        if i not in solved:
+            lower = max((j for j in solved if j < i), default=None)
+            upper = min((j for j in solved if j > i), default=None)
+            try:
+                gamma1, _, gamma, read = cache.evaluate(
+                    path[i][0], cfg,
+                    None if upper is None else solved[upper][0] * tol.hint_headroom,
+                    None if lower is None else solved[lower][0])
+            except SolverIndeterminate as exc:
+                report.iterations = records(i)
+                exc.partial_report = report
+                raise
+            solved[i] = (gamma1, gamma, read)
+        return solved[i]
+
+    def drops(i):
+        before = solve(i - 1)[1]
+        return solve(i)[1] < before * keep
+
+    solve(0)
+    falls = [i for i in range(1, len(path)) if gamma2[i] < gamma2[i - 1]]
+    lo, hi = -1, len(falls)  # the test is false at falls[lo], true at falls[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if drops(falls[mid]):
+            hi = mid
+        else:
+            lo = mid
+    stop = falls[hi] if hi < len(falls) else None
+    _, gamma, read = solve(len(path) - 1 if stop is None else stop - 1)
+    report.iterations = records(len(path) if stop is None else stop + 1)
+    return _finish(report, gamma, read, cfg)
 
 
 def run_benchmark3(ch: ChannelState, cfg: NetworkConfig,

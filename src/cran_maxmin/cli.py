@@ -109,6 +109,11 @@ def _load_instance(args):
     return cfg, ch, cfg.network_config(fronthaul), topo
 
 
+def _gamma_text(gamma) -> str:
+    """A trace value; "-" for a step whose max-min was never solved."""
+    return "-" if gamma is None else f"{gamma:.6g}"
+
+
 def _cmd_solve(args) -> int:
     cfg, ch, netcfg, topo = _load_instance(args)
     with _output_file(args.trace_out):
@@ -116,14 +121,14 @@ def _cmd_solve(args) -> int:
         for rec in report.iterations:
             removed = "-" if rec.removed_user is None \
                 else f"({rec.removed_user},{rec.removed_rrh})"
-            print(f"t={rec.t} gamma1={rec.gamma1:.6g} gamma2={rec.gamma2:.6g} "
-                  f"gamma={rec.gamma:.6g} removed={removed} "
+            print(f"t={rec.t} gamma1={_gamma_text(rec.gamma1)} gamma2={rec.gamma2:.6g} "
+                  f"gamma={_gamma_text(rec.gamma)} removed={removed} "
                   f"omega_sizes={list(rec.omega_sizes)}")
         print(f"final gamma={report.final_gamma:.6g} ({to_db(report.final_gamma):.3f} dB) "
               f"omega={[sorted(s) for s in report.final_association.omega]}")
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as f:
-                json.dump(report.to_dict(), f, indent=2)
+                json.dump(report.to_dict(), f, indent=2, allow_nan=False)
                 f.write("\n")
     return 0
 

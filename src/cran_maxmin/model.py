@@ -8,8 +8,10 @@ mutate their inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -161,36 +163,60 @@ class AssociationMap:
         return AssociationMap(tuple(new))
 
 
+def _json_number(value):
+    """value for strict JSON: None when it is unsolved or not finite."""
+    return value if value is None or math.isfinite(value) else None
+
+
 @dataclass
 class IterationRecord:
-    """One row of an algorithm trace."""
+    """One row of an algorithm trace.  gamma1 and gamma are None at a step
+    whose max-min was never solved (a bench2 step its search skipped)."""
 
     t: int
-    gamma1: float
+    gamma1: Optional[float]
     gamma2: float  # math.inf when every Omega_n is empty
-    gamma: float
+    gamma: Optional[float]
     removed_user: Optional[int]
     removed_rrh: Optional[int]
     omega_sizes: tuple[int, ...]
 
     def to_row(self) -> dict:
-        return {**asdict(self), "omega_sizes": list(self.omega_sizes)}
+        """The record for strict JSON: None for an unsolved or infinite value."""
+        return {**asdict(self), "omega_sizes": list(self.omega_sizes),
+                **{k: _json_number(getattr(self, k)) for k in ("gamma1", "gamma2", "gamma")}}
 
 
 @dataclass
 class SolveReport:
-    """Per-iteration trace plus the final solution of one scheme run."""
+    """Per-iteration trace plus the final solution of one scheme run.
+
+    The final beamformers and their association are solved when first read,
+    by the `read` callable the runner stores, and then kept; a sweep that
+    reports only final_gamma never solves them."""
 
     scheme_label: str
     iterations: list[IterationRecord] = field(default_factory=list)
     final_gamma: float = 0.0
-    final_beamformers: Optional[BeamformerSet] = None
-    final_association: Optional[AssociationMap] = None
+    read: Optional[Callable[[], tuple]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _final(self) -> tuple:
+        """(beamformers, association) of the answer, (None, None) without one."""
+        return (None, None) if self.read is None else self.read()
+
+    @property
+    def final_beamformers(self) -> Optional[BeamformerSet]:
+        return self._final[0]
+
+    @property
+    def final_association(self) -> Optional[AssociationMap]:
+        return self._final[1]
 
     def to_dict(self) -> dict:
         return {
             "scheme": self.scheme_label,
-            "final_gamma": self.final_gamma,
+            "final_gamma": _json_number(self.final_gamma),
             "final_omega": [sorted(users) for users in self.final_association.omega]
             if self.final_association is not None else None,
             "iterations": [rec.to_row() for rec in self.iterations],

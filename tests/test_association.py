@@ -27,7 +27,9 @@ from cran_maxmin.beamforming import SolverIndeterminate, SolverStats, \
 from cran_maxmin.model import (
     AssociationMap,
     BeamformerSet,
+    IterationRecord,
     NetworkConfig,
+    SolveReport,
     achievable_rate,
     compute_all_sinrs,
     fronthaul_load,
@@ -271,6 +273,39 @@ class TestRunAlgorithm1:
             run_algorithm1(ch, _netcfg(ch, 1.0, (1e6,)), TOL, selector="strongest")
 
 
+def _walk_benchmark2(ch, cfg, tol, topology=None, cache=None) -> SolveReport:
+    """bench2 as a linear walk, the reference `run_benchmark2` must agree
+    with: one max-min per activation step, each search started from the
+    last gamma1, until gamma falls below (1 - 2 bisection_rel_tol) times the
+    previous step's.  The report's final_gamma is the pre-drop step's."""
+    report = SolveReport(scheme_label="bench2")
+    if cache is None:
+        cache = SolveCache(ch, cfg.power_cap_w, cfg.noise_power_w, tol)
+    assoc = nearest_rrh_association(ch, topology)
+    norms = np.linalg.norm(ch.h, axis=2) ** 2
+    prev_gamma, gamma1, activated = -math.inf, None, None
+    for t in range(1, cfg.n_rrh * cfg.n_users + 2):
+        gamma1, gamma2, gamma_t, _ = cache.evaluate(assoc, cfg, gamma_lower_hint=gamma1)
+        report.iterations.append(IterationRecord(
+            t, gamma1, gamma2, gamma_t,
+            activated.user if activated else None,
+            activated.rrh if activated else None,
+            assoc.sizes()))
+        if gamma_t < prev_gamma * (1.0 - 2.0 * tol.bisection_rel_tol):
+            break
+        report.final_gamma = prev_gamma = gamma_t
+        inactive = {(k, n): norms[k, n]
+                    for k in range(cfg.n_users) for n in range(cfg.n_rrh)
+                    if k not in assoc.omega[n]}
+        if not inactive:
+            break
+        activated = association._argmax_link(inactive)
+        omega = list(assoc.omega)
+        omega[activated.rrh] = omega[activated.rrh] | {activated.user}
+        assoc = AssociationMap(tuple(omega))
+    return report
+
+
 class TestBenchmark2:
     def test_single_rrh_single_evaluation(self):
         ch = random_channels(30, 3, 1, 2)
@@ -323,45 +358,73 @@ class TestBenchmark2:
             _, ch, sigma2 = desk_instance(40 + seed)
             cfg = _netcfg(ch, sigma2, (6e6,) * 3)
             report = run_benchmark2(ch, cfg, TOL)
-            gammas = [r.gamma for r in report.iterations]
+            # a step the bisection skipped has no gamma
+            gammas = [r.gamma for r in report.iterations if r.gamma is not None]
             assert all(b >= a for a, b in zip(gammas[:-1], gammas[1:-1]))
             assert report.final_gamma == pytest.approx(max(gammas))
 
-    def test_solver_noise_is_not_a_drop(self):
+    @staticmethod
+    def _stubbed(monkeypatch, ch, gamma1s, gamma2s, hints=None):
+        """A cache whose step i (the path's i-th association) has wireless
+        value gamma1s[i] and fronthaul value gamma2s[i]; it records the
+        (step, upper hint, lower hint) of every evaluation."""
+        def step(assoc):
+            return sum(assoc.sizes()) - ch.n_users
+
+        monkeypatch.setattr(association, "fronthaul_cap",
+                            lambda assoc, caps, bw: gamma2s[step(assoc)])
+
+        class StubCache:
+            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
+                i = step(assoc)
+                if hints is not None:
+                    hints.append((i, gamma_upper_hint, gamma_lower_hint))
+                g = min(gamma1s[i], gamma2s[i])
+                return gamma1s[i], gamma2s[i], g, lambda: BeamformerSet.zeros(*ch.h.shape)
+
+        return StubCache()
+
+    @pytest.mark.parametrize("dip, drop", [(1e-5, False), (2 * TOL.bisection_rel_tol, False),
+                                           (3e-4, True)])
+    def test_solver_noise_is_not_a_drop(self, monkeypatch, dip, drop):
         # separately solved values differ by up to 2 bisection_rel_tol: a
-        # 1e-5 relative dip continues, a 3e-4 one stops the activation
-        ch = random_channels(32, 3, 2, 2)
+        # gamma2 that lands that close below the previous gamma continues,
+        # a 3e-4 relative dip stops the activation.  4 users on 2 RRHs make
+        # a 5-step path; gamma2 falls at steps 1 and 4 only.
+        ch = random_channels(32, 4, 2, 2)
         cfg = _netcfg(ch, 1.0, (1e12, 1e12))
-        gammas = iter([1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4), 2.0])
+        low = 1.0 - 1e-5
+        gamma1s = [1.0, 1.1, 1.2, 1.3, 1.4]
+        gamma2s = [math.inf, low, low, low, low * (1.0 - dip)]
+        for runner in (_walk_benchmark2, run_benchmark2):
+            cache = self._stubbed(monkeypatch, ch, gamma1s, gamma2s)
+            report = runner(ch, cfg, TOL, cache=cache)
+            assert len(report.iterations) == 5
+            gammas = [r.gamma for r in report.iterations]
+            assert gammas[:2] == [1.0, low] and gammas[3:] == [low, low * (1.0 - dip)]
+            assert report.final_gamma == (low if drop else low * (1.0 - dip))
+        # the bisection tests steps 1 and 4, so it never solves step 2
+        assert report.iterations[2].gamma1 is None and report.iterations[2].gamma is None
 
-        class StubCache:
-            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
-                g = next(gammas)
-                return g, math.inf, g, lambda: BeamformerSet.zeros(3, 2, 2)
-
-        report = run_benchmark2(ch, cfg, TOL, cache=StubCache())
-        assert [r.gamma for r in report.iterations] == \
-            [1.0, 1.0 - 1e-5, 1.1, 1.1 * (1 - 3e-4)]
-        assert report.final_gamma == 1.1
-
-    def test_each_search_starts_from_the_last_gamma1(self):
-        # an activation adds a link, so the last wireless value is one the
-        # new association reaches: it is the next evaluation's lower hint
-        ch = random_channels(33, 3, 2, 2)
-        cfg = _netcfg(ch, 1.0, (1e12, 1e12))
-        gamma1s = iter([1.0, 1.2, 1.5, 1.4])
+    def test_each_search_starts_from_the_nearest_solved_gamma1s(self, monkeypatch):
+        # an activation adds a link, so a solved gamma1 bounds every later
+        # step's value from below and every earlier step's from above
+        # (with hint_headroom for the solver's noise).  3 users on 3 RRHs
+        # make a 7-step path; gamma2 falls at steps 2, 4 and 6, and the
+        # first drop is at step 4.
+        ch = random_channels(33, 3, 3, 2)
+        cfg = _netcfg(ch, 1.0, (1e12,) * 3)
+        gamma1s = [1.0, 1.2, 1.5, 1.6, 1.7, 1.8, 1.9]
+        gamma2s = [math.inf, math.inf, 1.4, 1.4, 1.0, 1.0, 0.5]
         hints = []
-
-        class StubCache:
-            def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
-                hints.append((gamma_upper_hint, gamma_lower_hint))
-                g = next(gamma1s)
-                # the fronthaul binds, so gamma differs from gamma1
-                return g, 0.5 * g, 0.5 * g, lambda: BeamformerSet.zeros(3, 2, 2)
-
-        report = run_benchmark2(ch, cfg, TOL, cache=StubCache())
-        assert len(report.iterations) == 4
-        assert hints == [(None, None), (None, 1.0), (None, 1.2), (None, 1.5)]
+        cache = self._stubbed(monkeypatch, ch, gamma1s, gamma2s, hints)
+        report = run_benchmark2(ch, cfg, TOL, cache=cache)
+        up = TOL.hint_headroom
+        # the start cold, then the test at step 4, then the one at step 2
+        assert hints == [(0, None, None), (3, None, 1.0), (4, None, 1.6),
+                         (1, 1.6 * up, 1.0), (2, 1.6 * up, 1.2)]
+        assert len(report.iterations) == 5 and report.final_gamma == 1.4
+        assert [r.gamma for r in report.iterations] == [1.0, 1.2, 1.4, 1.4, 1.0]
 
     def test_lower_start_keeps_the_path_and_the_values(self):
         class HintlessCache(SolveCache):
@@ -378,6 +441,39 @@ class TestBenchmark2:
                 [r.omega_sizes for r in cold.iterations]
             for a, b in zip(warm.iterations, cold.iterations):
                 assert a.gamma1 == pytest.approx(b.gamma1, rel=2 * TOL.bisection_rel_tol)
+
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    @pytest.mark.parametrize("fronthaul", [2e6, 6e6, 20e6, 40e6, 1e12])
+    def test_bisection_agrees_with_the_walk(self, seed, fronthaul):
+        # the fronthaul binds below 40 Mb/s on these draws; at 1e12 it never does
+        _, ch, sigma2 = desk_instance(seed)
+        cfg = _netcfg(ch, sigma2, (fronthaul,) * 3)
+        got = run_benchmark2(ch, cfg, TOL)
+        ref = _walk_benchmark2(ch, cfg, TOL)
+        # the same stop step and iteration count
+        assert len(got.iterations) == len(ref.iterations)
+        assert [(r.removed_user, r.removed_rrh, r.omega_sizes, r.gamma2)
+                for r in got.iterations] == \
+            [(r.removed_user, r.removed_rrh, r.omega_sizes, r.gamma2) for r in ref.iterations]
+        assert got.final_gamma == pytest.approx(ref.final_gamma, rel=2e-4)
+        for a, b in zip(got.iterations, ref.iterations):
+            if a.gamma1 is not None:
+                assert a.gamma1 == pytest.approx(b.gamma1, rel=2e-4)
+                assert a.gamma == min(a.gamma1, a.gamma2)
+
+    def test_the_walk_cases_include_drops_and_skips(self):
+        # so that the agreement above covers a stop before the path's end
+        # and steps the bisection never solves
+        stops, skips = 0, 0
+        for seed, fronthaul in ((40, 6e6), (41, 40e6), (42, 1e12)):
+            _, ch, sigma2 = desk_instance(seed)
+            cfg = _netcfg(ch, sigma2, (fronthaul,) * 3)
+            report = run_benchmark2(ch, cfg, TOL)
+            path = association._activation_path(ch, cfg)
+            stops += len(report.iterations) < len(path)
+            skips += sum(r.gamma1 is None for r in report.iterations)
+        assert stops == 2 and skips > 0
 
 
 class TestBenchmark3:
@@ -480,7 +576,13 @@ class TestDeferredBeamformers:
         report = run_benchmark3(ch, cfg, TOL)
         [rec] = report.iterations
         assert rec.gamma2 < rec.gamma1
+        assert calls == []  # the answer is not solved until it is read
+        first = report.final_beamformers
         # the fronthaul side's power-min only; the max-min is not tightened
+        assert calls == [rec.gamma2]
+        # it is kept: a second read, or the association, solves nothing more
+        assert report.final_beamformers is first
+        assert report.final_association == nearest_rrh_association(ch)
         assert calls == [rec.gamma2]
 
     def test_value_solve_keeps_no_template(self, monkeypatch):
@@ -503,19 +605,21 @@ class TestDeferredBeamformers:
         assert len(problems) == 2 and all(p() is None for p in problems)
 
     @pytest.mark.parametrize("runner", [run_algorithm1, run_benchmark3])
-    def test_failed_read_keeps_partial_report(self, runner, monkeypatch):
+    def test_failed_read_raises_on_first_access(self, runner, monkeypatch):
         ch, cfg = self._binding()
         clean = runner(ch, cfg, TOL)
         best = max(clean.iterations, key=lambda r: r.gamma)
         assert best.gamma2 < best.gamma1  # the answer is a power-min at gamma2
         calls = _count_power_mins(monkeypatch, fail_at=best.gamma2)
-        with pytest.raises(SolverIndeterminate) as err:
-            runner(ch, cfg, TOL)
-        report = err.value.partial_report
-        assert calls[-1] == best.gamma2  # the final read, after every record
-        assert report is not None and report.scheme_label == clean.scheme_label
+        report = runner(ch, cfg, TOL)
+        # the run solves only its link selections' tightenings, at gamma1
+        assert calls == [r.gamma1 for r in report.iterations if r.removed_user is not None]
         assert [(r.gamma1, r.gamma2, r.gamma) for r in report.iterations] == \
             [(r.gamma1, r.gamma2, r.gamma) for r in clean.iterations]
+        before = list(calls)
+        with pytest.raises(SolverIndeterminate):
+            report.final_beamformers
+        assert calls == before + [best.gamma2]
 
 
 class TestSolveCacheFailures:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cran_maxmin import cli, harness
+from cran_maxmin import association, beamforming, cli, harness
 from cran_maxmin.association import nearest_rrh_association, run_benchmark3
 from cran_maxmin.beamforming import SolverIndeterminate
 from cran_maxmin.cli import cli_main
@@ -209,6 +209,30 @@ class TestRunSweep:
         cfg, (rows, _) = sweep_result
         rows2, _ = run_sweep(cfg, workers=2)
         assert _rows_equal(rows, rows2)
+
+
+def test_a_sweep_trial_reads_no_final_beamformers(monkeypatch):
+    # rows carry gamma and the iteration count only: the only power-mins a
+    # trial solves are the tightenings its link selections read
+    counts = dict.fromkeys(("max_min", "power_min", "select"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("max_min", "power_min"):
+        monkeypatch.setattr(association.SolveCache, name,
+                            counted(name, getattr(association.SolveCache, name)))
+    for name in ("select_removal", "benchmark1_select"):
+        monkeypatch.setattr(association, name, counted("select", getattr(association, name)))
+    cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent
+                                     / "configs" / "desk.json")
+    rows = harness._run_trial(cfg, 0)
+    assert all(r["status"] == "ok" for r in rows)
+    assert counts["power_min"] == 0
+    assert counts["max_min"] == counts["select"] > 0
 
 
 def test_workers_default_to_one_whatever_the_environment(tmp_path, monkeypatch):
@@ -426,6 +450,50 @@ class TestCli:
         assert doc["scheme"] == "bench3"
         assert {"t", "gamma1", "gamma2", "gamma", "removed_user", "removed_rrh",
                 "omega_sizes"} <= set(doc["iterations"][0])
+
+    @pytest.mark.parametrize("scheme", ["alg1", "bench2", "bench3"])
+    def test_solve_trace_out_is_strict_json(self, tmp_path, capsys, scheme):
+        # no fronthaul binds at 1e12 b/s, so every gamma2 is infinite; bench2's
+        # bisection then solves only the first and last of its 4 steps
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+        chan, trace = tmp_path / "chan.json", tmp_path / "trace.json"
+        cli_main(["gen-channels", "--config", str(config), "--seed", "42", "--out", str(chan)])
+        capsys.readouterr()
+        assert cli_main(["solve", "--scheme", scheme, "--channels", str(chan),
+                         "--config", str(config), "--fronthaul-bps", "1e12",
+                         "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(trace.read_text(), parse_constant=refuse)
+        rows = doc["iterations"]
+        assert all(r["gamma2"] is None for r in rows)
+        skipped = [r["t"] for r in rows if r["gamma1"] is None]
+        assert skipped == [r["t"] for r in rows if r["gamma"] is None]
+        assert (len(skipped) > 0) == (scheme == "bench2")
+        assert out.count("gamma1=- ") == out.count("gamma=- ") == len(skipped)
+
+    def test_stalled_final_read_exits_2_after_the_trace(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the answer's beamformers are solved when `solve` first reads them,
+        # after it has printed every iteration
+        def stalled(self, gamma):
+            raise SolverIndeterminate("power-min stalled")
+
+        cfg = self._config_file(tmp_path)
+        chan, trace = tmp_path / "chan.json", tmp_path / "trace.json"
+        cli_main(["gen-channels", "--config", str(cfg), "--seed", "3", "--out", str(chan)])
+        capsys.readouterr()
+        monkeypatch.setattr(beamforming._BeamProblem, "solve_power_min", stalled)
+        code = cli_main(["solve", "--scheme", "bench3", "--channels", str(chan),
+                         "--config", str(cfg), "--fronthaul-bps", "1e6",
+                         "--trace-out", str(trace)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out.startswith("t=1 gamma1=") and "final gamma=" not in out
+        assert err == "solver indeterminate: power-min stalled\n"
+        assert not trace.exists()
 
     def test_solve_refuses_an_unwritable_trace_out_before_solving(self, tmp_path, capsys,
                                                                   monkeypatch):
