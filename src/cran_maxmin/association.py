@@ -211,7 +211,7 @@ def _finish(report: SolveReport, gamma: float, read, cfg: NetworkConfig) -> Solv
         bf = read()
         return bf, AssociationMap.from_indicator(association_indicator(bf, cfg.power_cap_w))
 
-    report.final_gamma, report.read = gamma, final
+    report.final_gamma, report._read = gamma, final
     return report
 
 
@@ -316,10 +316,16 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     step adds a link, so gamma1 cannot fall by more than the tolerance, and
     adds a load, so gamma2 cannot rise.  A drop therefore needs gamma2 to
     fall, and over the steps where it falls the drop test is false and then
-    true.  A test solves the step and the one before it.  The start is
+    true when each fall cuts gamma2 below (1 - 2 tol) times its previous
+    value, as it does at equal capacities; otherwise the falls are tested in
+    order.  A test solves the step and the one before it.  The start is
     solved first, with no hints; every later search starts from the nearest
     solved gamma1 before it and is bounded by the nearest one after it.
-    A step the search skips is recorded with gamma1 and gamma None.
+    When a solve stalls past the next untested fall, the falls before it are
+    tested in order, so a run fails only at a step the walk would solve
+    too.  A step the search skips is recorded with gamma1
+    and gamma None.  A gamma1 dip of more than 2 tol at a step where gamma2
+    does not fall, which the walk would take for a drop, is not looked for.
     """
     report = SolveReport(scheme_label="bench2")
     if cache is None:
@@ -361,13 +367,25 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
 
     solve(0)
     falls = [i for i in range(1, len(path)) if gamma2[i] < gamma2[i - 1]]
+    # falls are tested in order up to falls[scan_to], bisected after it.  A
+    # fall below keep times the bound before it drops if any earlier one did;
+    # a smaller one (unequal capacities allow it) need not, so then every fall
+    # is tested in order.
+    ordered = all(gamma2[i] < gamma2[i - 1] * keep for i in falls)
+    scan_to = -1 if ordered else len(falls)
     lo, hi = -1, len(falls)  # the test is false at falls[lo], true at falls[hi]
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if drops(falls[mid]):
-            hi = mid
-        else:
-            lo = mid
+        mid = lo + 1 if lo + 1 <= scan_to else (lo + hi) // 2
+        try:
+            dropped = drops(falls[mid])
+        except SolverIndeterminate:
+            if mid == lo + 1:
+                raise
+            # the walk solves this step only if no fall before it drops:
+            # test those in order, so a stall comes from a step it solves
+            scan_to = mid
+            continue
+        lo, hi = (lo, mid) if dropped else (mid, hi)
     stop = falls[hi] if hi < len(falls) else None
     _, gamma, read = solve(len(path) - 1 if stop is None else stop - 1)
     report.iterations = records(len(path) if stop is None else stop + 1)

@@ -192,18 +192,19 @@ class SolveReport:
     """Per-iteration trace plus the final solution of one scheme run.
 
     The final beamformers and their association are solved when first read,
-    by the `read` callable the runner stores, and then kept; a sweep that
-    reports only final_gamma never solves them."""
+    by the callable the runner stores in `_read`, and then kept; a sweep
+    that reports only final_gamma never solves them."""
 
     scheme_label: str
     iterations: list[IterationRecord] = field(default_factory=list)
     final_gamma: float = 0.0
-    read: Optional[Callable[[], tuple]] = field(default=None, repr=False, compare=False)
+    _read: Optional[Callable[[], tuple]] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     @cached_property
     def _final(self) -> tuple:
         """(beamformers, association) of the answer, (None, None) without one."""
-        return (None, None) if self.read is None else self.read()
+        return (None, None) if self._read is None else self._read()
 
     @property
     def final_beamformers(self) -> Optional[BeamformerSet]:

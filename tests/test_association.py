@@ -364,10 +364,11 @@ class TestBenchmark2:
             assert report.final_gamma == pytest.approx(max(gammas))
 
     @staticmethod
-    def _stubbed(monkeypatch, ch, gamma1s, gamma2s, hints=None):
+    def _stubbed(monkeypatch, ch, gamma1s, gamma2s, hints=None, stalls=()):
         """A cache whose step i (the path's i-th association) has wireless
         value gamma1s[i] and fronthaul value gamma2s[i]; it records the
-        (step, upper hint, lower hint) of every evaluation."""
+        (step, upper hint, lower hint) of every evaluation and stalls at
+        the steps in `stalls`."""
         def step(assoc):
             return sum(assoc.sizes()) - ch.n_users
 
@@ -379,6 +380,8 @@ class TestBenchmark2:
                 i = step(assoc)
                 if hints is not None:
                     hints.append((i, gamma_upper_hint, gamma_lower_hint))
+                if i in stalls:
+                    raise SolverIndeterminate(f"step {i} stalled")
                 g = min(gamma1s[i], gamma2s[i])
                 return gamma1s[i], gamma2s[i], g, lambda: BeamformerSet.zeros(*ch.h.shape)
 
@@ -426,6 +429,66 @@ class TestBenchmark2:
         assert len(report.iterations) == 5 and report.final_gamma == 1.4
         assert [r.gamma for r in report.iterations] == [1.0, 1.2, 1.4, 1.4, 1.0]
 
+    @pytest.mark.parametrize("dip, drop", [(1e-5, False), (3e-4, True)])
+    def test_the_walk_stops_on_a_gamma1_dip(self, monkeypatch, dip, drop):
+        # the walk tests every step: a dip of gamma1 alone beyond 2
+        # bisection_rel_tol stops it.  run_benchmark2 takes gamma1 to be
+        # monotone within the tolerance and tests only the steps where
+        # gamma2 falls; here it never does, so it solves the start and the
+        # last step only and runs to the path's end.
+        ch = random_channels(32, 4, 2, 2)
+        cfg = _netcfg(ch, 1.0, (1e12, 1e12))
+        gamma1s = [1.0, 1.0 - 1e-5, 1.1, 1.1 * (1.0 - dip), 2.0]
+        gamma2s = [math.inf] * 5
+        walk = _walk_benchmark2(ch, cfg, TOL,
+                                cache=self._stubbed(monkeypatch, ch, gamma1s, gamma2s))
+        assert [r.gamma for r in walk.iterations] == gamma1s[:4 if drop else 5]
+        assert walk.final_gamma == (1.1 if drop else 2.0)
+        report = run_benchmark2(ch, cfg, TOL,
+                                cache=self._stubbed(monkeypatch, ch, gamma1s, gamma2s))
+        assert [r.gamma for r in report.iterations] == [1.0, None, None, None, 2.0]
+        assert report.final_gamma == 2.0
+
+    def test_a_small_fall_after_a_drop_is_tested_in_order(self, monkeypatch):
+        # unequal capacities can cut gamma2 by less than 2 bisection_rel_tol
+        # (step 4 here), so the drop test is false there after it was true at
+        # step 2.  A bisection over the falls 2, 4, 6 would test step 4 first
+        # and stop at step 6; in order, the first drop is step 2, as in the walk.
+        ch = random_channels(33, 3, 3, 2)
+        cfg = _netcfg(ch, 1.0, (1e12,) * 3)
+        small = 0.8 * (1.0 - 1e-5)
+        gamma1s = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
+        gamma2s = [math.inf, math.inf, 0.8, 0.8, small, small, 0.4]
+        for runner in (_walk_benchmark2, run_benchmark2):
+            report = runner(ch, cfg, TOL,
+                            cache=self._stubbed(monkeypatch, ch, gamma1s, gamma2s))
+            assert [r.gamma for r in report.iterations] == [1.0, 1.1, 0.8]
+            assert report.final_gamma == 1.1
+
+    @pytest.mark.parametrize("stall, fails", [(3, False), (1, True), (2, True)])
+    def test_a_stall_fails_only_at_a_step_the_walk_solves(self, monkeypatch, stall, fails):
+        # the first drop is at step 2; the bisection's first test solves
+        # steps 3 and 4, which the walk never reaches.  A stall there sends
+        # the search back to test the falls before step 4 in order; a stall
+        # at step 1 or 2, which the walk solves, fails the run.
+        ch = random_channels(33, 3, 3, 2)
+        cfg = _netcfg(ch, 1.0, (1e12,) * 3)
+        gamma1s = [1.0, 1.2, 1.5, 1.6, 1.7, 1.8, 1.9]
+        gamma2s = [math.inf, math.inf, 1.1, 1.1, 0.9, 0.9, 0.5]
+        hints = []
+        cache = self._stubbed(monkeypatch, ch, gamma1s, gamma2s, hints, stalls=(stall,))
+        if fails:
+            with pytest.raises(SolverIndeterminate) as err:
+                run_benchmark2(ch, cfg, TOL, cache=cache)
+            assert [r.t for r in err.value.partial_report.iterations] == \
+                list(range(1, stall + 1))
+            assert err.value.partial_report.iterations[0].gamma == 1.0
+        else:
+            report = run_benchmark2(ch, cfg, TOL, cache=cache)
+            assert [r.gamma for r in report.iterations] == [1.0, 1.2, 1.1]
+            assert report.final_gamma == 1.2
+        assert [i for i, _, _ in hints][:2] == [0, 3]
+
     def test_lower_start_keeps_the_path_and_the_values(self):
         class HintlessCache(SolveCache):
             def evaluate(self, assoc, cfg, gamma_upper_hint=None, gamma_lower_hint=None):
@@ -444,11 +507,15 @@ class TestBenchmark2:
 
 
     @pytest.mark.parametrize("seed", [40, 41, 42])
-    @pytest.mark.parametrize("fronthaul", [2e6, 6e6, 20e6, 40e6, 1e12])
+    @pytest.mark.parametrize("fronthaul", [2e6, 6e6, 20e6, 40e6, 1e12, (6e6, 6.05e6, 6.1e6),
+                                           (6e6, 12e6, 18e6), (4e6, 8e6, 8.001e6)])
     def test_bisection_agrees_with_the_walk(self, seed, fronthaul):
-        # the fronthaul binds below 40 Mb/s on these draws; at 1e12 it never does
+        # the fronthaul binds below 40 Mb/s on these draws; at 1e12 it never
+        # does.  With per-RRH capacities the bound's fall can be small where
+        # the binding RRH changes (seed 41 at (4, 8, 8.001) Mb/s has one).
         _, ch, sigma2 = desk_instance(seed)
-        cfg = _netcfg(ch, sigma2, (fronthaul,) * 3)
+        caps = fronthaul if isinstance(fronthaul, tuple) else (fronthaul,) * 3
+        cfg = _netcfg(ch, sigma2, caps)
         got = run_benchmark2(ch, cfg, TOL)
         ref = _walk_benchmark2(ch, cfg, TOL)
         # the same stop step and iteration count
@@ -474,6 +541,15 @@ class TestBenchmark2:
             stops += len(report.iterations) < len(path)
             skips += sum(r.gamma1 is None for r in report.iterations)
         assert stops == 2 and skips > 0
+
+    def test_unequal_capacities_make_a_fall_too_small_to_bisect(self):
+        # so that the agreement above covers falls tested in order
+        _, ch, sigma2 = desk_instance(41)
+        cfg = _netcfg(ch, sigma2, (4e6, 8e6, 8.001e6))
+        bound = [association.fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
+                 for assoc, _ in association._activation_path(ch, cfg)]
+        keep = 1.0 - 2.0 * TOL.bisection_rel_tol
+        assert any(keep * a <= b < a for a, b in zip(bound, bound[1:]))
 
 
 class TestBenchmark3:

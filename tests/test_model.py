@@ -14,6 +14,7 @@ from cran_maxmin.model import (
     BeamformerSet,
     ChannelState,
     NetworkConfig,
+    SolveReport,
     achievable_rate,
     association_indicator,
     compute_all_sinrs,
@@ -202,6 +203,13 @@ class TestTypes:
         assert ind.shape == (3, 2) and ind.sum() == 6
         assert AssociationMap.from_indicator(ind).omega == a.omega
         assert AssociationMap((frozenset([0]), frozenset())).unserved_users(2) == (1,)
+
+    def test_solve_report_takes_no_reader(self):
+        # the final solution's reader is set by the scheme runner, not passed in
+        report = SolveReport("alg1", final_gamma=1.0)
+        assert report.final_beamformers is None and report.final_association is None
+        with pytest.raises(TypeError):
+            SolveReport("alg1", _read=lambda: (None, None))
 
     def test_channel_state_rejects_nonfinite(self):
         h = np.ones((1, 1, 1), complex)
