@@ -172,9 +172,14 @@ def _argmax_link(scores: dict) -> LinkChoice:
 
 def select_removal(ch: ChannelState, bf1: BeamformerSet, phi: set,
                    noise_power_w: float) -> LinkChoice:
-    """Pick the link whose removal leaves its user the best residual SINR:
-    argmax over (k, n) in phi of
+    """Pick the link whose removal leaves its user the largest incoherent
+    per-link signal sum over interference plus noise: argmax over (k, n) in
+    phi of
     (sum_{n' != n} |h_kn'^H w_kn'|^2) / (interference at k + sigma^2).
+    Each remaining link's power is summed on its own, so this is not user
+    k's SINR with w_kn set to zero, whose numerator is the coherent
+    |sum_{n' != n} h_kn'^H w_kn'|^2; the two agree only when those terms
+    are in phase.
     """
     if not phi:
         raise ValueError("candidate link set is empty")
@@ -223,9 +228,10 @@ def run_algorithm1(ch: ChannelState, cfg: NetworkConfig,
     the fronthaul bottleneck per iteration until the wireless optimum fits
     the fronthaul, then keep the better of the last two iterates.
 
-    selector "residual" keeps the user with the best post-removal SINR
-    (the proposed criterion); "leakage" drops the link generating the most
-    interference instead (benchmark scheme 1).
+    selector "residual" removes the link whose user keeps the largest
+    incoherent sum of its other links' signal powers over its interference
+    plus noise (`select_removal`; the proposed criterion); "leakage" drops
+    the link generating the most interference instead (benchmark scheme 1).
     """
     if selector not in ("residual", "leakage"):
         raise ValueError("selector must be 'residual' or 'leakage'")

@@ -118,11 +118,13 @@ def _cmd_solve(args) -> int:
     cfg, ch, netcfg, topo = _load_instance(args)
     with _output_file(args.trace_out):
         report = RUNNERS[args.scheme](ch, netcfg, cfg.tolerances(), topo, None)
+        # bench2's records hold the link its step activated
+        label = "added" if report.scheme_label == "bench2" else "removed"
         for rec in report.iterations:
-            removed = "-" if rec.removed_user is None \
+            link = "-" if rec.removed_user is None \
                 else f"({rec.removed_user},{rec.removed_rrh})"
             print(f"t={rec.t} gamma1={_gamma_text(rec.gamma1)} gamma2={rec.gamma2:.6g} "
-                  f"gamma={_gamma_text(rec.gamma)} removed={removed} "
+                  f"gamma={_gamma_text(rec.gamma)} {label}={link} "
                   f"omega_sizes={list(rec.omega_sizes)}")
         print(f"final gamma={report.final_gamma:.6g} ({to_db(report.final_gamma):.3f} dB) "
               f"omega={[sorted(s) for s in report.final_association.omega]}")

@@ -518,9 +518,10 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
     normc = max(1.0, float(np.linalg.norm(c)))
     normh = max(1.0, float(np.linalg.norm(h)))
 
-    # double-precision Cholesky degrades once mu shrinks ~12 orders below its
-    # start; keep the best iterate and accept it with relaxed tolerances if
-    # the strict test never quite fires
+    # keep the best iterate and accept it with relaxed tolerances if the
+    # strict test never fires: pres falls with each step, but dres can stall
+    # above _FEASTOL once W is ill-conditioned (13 of the 211 optimal solves
+    # of desk trials 0-2, none of paper trial 0's 290)
     mu0 = (spec.nblocks + 1.0) / (spec.deg + 1.0)
     best = None
     best_score = np.inf
@@ -579,11 +580,12 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
             dtau = (-damp * rtau - float(c @ x2 + h @ z2) - dtk / tau) / den_tau
             dx = x2 + dtau * x1
             dz = z2 + dtau * z1
-            wdz = scal.apply_w(dz)
-            ds_scaled = vs - wdz  # equals W^-1 (Delta s)
-            dsz = np.array((scal.apply_w(ds_scaled), dz))
+            # Delta s from the linearized primal equation
+            # G dx + ds - h dtau = -damp rz: W (vs - W dz) meets it only up
+            # to W's condition number, which grows as mu falls
+            dsz = np.array((-damp * rz - newton.G @ dx + h * dtau, dz))
             dkappa = (dtk - kappa * dtau) / tau
-            return dx, dsz, dtau, dkappa, wdz, ds_scaled
+            return dx, dsz, dtau, dkappa, vs
 
         def boundary_step(dsz, dtau, dkappa):
             alpha = spec.max_step(sz, dsz)
@@ -594,17 +596,19 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
             return alpha
 
         # predictor
-        _, dsza, dtaua, dkappaa, wdza, dssca = direction(-lamlam, -tau * kappa, 1.0)
+        _, dsza, dtaua, dkappaa, vsa = direction(-lamlam, -tau * kappa, 1.0)
         alpha = min(1.0, boundary_step(dsza, dtaua, dkappaa))
         s_aff, z_aff = sz + alpha * dsza
         mu_aff = (float(s_aff @ z_aff)
                   + (tau + alpha * dtaua) * (kappa + alpha * dkappaa)) / (spec.deg + 1)
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
-        # corrector
-        ds = -lamlam - spec.jprod(dssca, wdza) + sigma * mu * e
+        # corrector; Mehrotra's second-order term takes the scaled steps from
+        # complementarity, W^-1 Delta s = vs - W Delta z
+        wdza = scal.apply_w(dsza[1])
+        ds = -lamlam - spec.jprod(vsa - wdza, wdza) + sigma * mu * e
         dtk = -tau * kappa - dtaua * dkappaa + sigma * mu
-        dx, dsz, dtau, dkappa, _, _ = direction(ds, dtk, 1.0 - sigma)
+        dx, dsz, dtau, dkappa, _ = direction(ds, dtk, 1.0 - sigma)
 
         alpha = min(1.0, _STEP * boundary_step(dsz, dtau, dkappa))
         if alpha < _MIN_STEP:

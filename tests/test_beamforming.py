@@ -658,20 +658,21 @@ class TestTrivialCases:
                 call()
 
 
-@pytest.mark.xfail(strict=True, reason="the IPM still stalls on a paper-scale draw "
-                   "with a user 1.3 m from an RRH")
 def test_user_next_to_an_rrh_is_decided():
     # configs/paper.json with seed 9, trial 0: 1 m guard, nearest user 1.3 m
-    # from an RRH; the probe at 1e-5 of the MRT bound ends indeterminate
+    # from an RRH.  The probe at 1e-5 of the MRT bound once ended
+    # indeterminate; its target is far above the full association's
+    # interference-free bound, so infeasible is right without the solver
     cfg = ExperimentConfig.from_json(
         Path(__file__).resolve().parent.parent / "configs" / "paper.json")
     cfg = replace(cfg, seed=9)
     _, ch = draw_trial(cfg, 0)
     caps, noise = cfg.power_caps_w(), cfg.noise_power_w()
+    full = AssociationMap.full(5, 15)
     gamma = 1e-5 * mrt_gamma_upper_bound(ch, caps, noise)
-    out = check_feasible(ch, AssociationMap.full(5, 15), gamma, caps, noise,
-                         cfg.tolerances())
-    assert out.status != "indeterminate"
+    assert gamma > 1000.0 * per_user_gamma_upper_bound(ch, full, caps, noise)
+    out = check_feasible(ch, full, gamma, caps, noise, cfg.tolerances())
+    assert out.status == "infeasible"
 
 
 def test_tolerances_validation():

@@ -437,6 +437,26 @@ class TestCli:
         assert out.startswith("t=1 gamma1=")
         assert "final gamma=" in out
 
+    @pytest.mark.parametrize("scheme,label", [
+        ("alg1", "removed"), ("bench1", "removed"), ("bench2", "added")])
+    def test_solve_trace_labels_the_link_by_scheme(self, tmp_path, capsys, scheme, label):
+        # the desk sweep's trial 0 at 5 Mb/s: bench2's second step activates
+        # link (5, 2); the JSON trace keeps the removed_* keys for every scheme
+        desk = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+        chan, trace = tmp_path / "chan.json", tmp_path / "trace.json"
+        cli_main(["gen-channels", "--config", str(desk), "--seed", "11", "--out", str(chan)])
+        capsys.readouterr()
+        assert cli_main(["solve", "--scheme", scheme, "--channels", str(chan),
+                         "--config", str(desk), "--fronthaul-bps", "5e6",
+                         "--trace-out", str(trace)]) == 0
+        steps = capsys.readouterr().out.splitlines()[:-1]
+        other = "added" if label == "removed" else "removed"
+        assert all(f" {label}=" in line and f" {other}=" not in line for line in steps)
+        if scheme == "bench2":
+            assert "added=(5,2) omega_sizes=[3, 2, 2]" in steps[1]
+            rec = json.loads(trace.read_text())["iterations"][1]
+            assert (rec["removed_user"], rec["removed_rrh"]) == (5, 2)
+
     def test_solve_trace_out(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path)
         chan = tmp_path / "chan.json"

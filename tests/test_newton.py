@@ -1,6 +1,10 @@
 """The cone solver's structured Newton solve (block-diagonal tail Gram plus
 low-rank cone-head terms) against a dense G' W^-2 G reference, on the
-beamforming templates and their hard cases."""
+beamforming templates and their hard cases, and the steps the solver takes
+from its solves."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ import pytest
 from conftest import desk_instance, random_channels
 from cran_maxmin import beamforming, socp
 from cran_maxmin.association import nearest_rrh_association
-from cran_maxmin.beamforming import _BeamProblem, solve_max_min
+from cran_maxmin.beamforming import _BeamProblem, max_min_value, solve_max_min
+from cran_maxmin.harness import ExperimentConfig, draw_trial
 from cran_maxmin.model import AssociationMap, ChannelState
 
 
@@ -91,10 +96,11 @@ def block(G, spec):
 
 
 def relaxed(res):
-    """Accepted only as the best iterate (default tolerances: abstol < reltol,
-    so the strict gap test reduces to relgap <= reltol)."""
+    """Accepted only as the best iterate, under the tolerances in force
+    (abstol < reltol, so the strict gap test reduces to relgap <= reltol)."""
     return res.status == "optimal" and not (
-        res.pres <= 1e-8 and res.dres <= 1e-8 and res.relgap <= 1e-8)
+        res.pres <= socp._FEASTOL and res.dres <= socp._FEASTOL
+        and res.relgap <= socp._RELTOL)
 
 
 def test_reference_matches_dense_gram(rng):
@@ -122,7 +128,9 @@ def backward_errors(G, scal, bx, bz, dx, dz):
 @pytest.mark.parametrize("name,margin,share", CASES)
 def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, share):
     """Every direction of a block-path solve is as exact as the dense path's
-    on the same system: within 10x its backward error, or below 1e-14."""
+    on the same systems: within 10x the dense path's largest backward error
+    over the solve, or below 1e-14.  One dense direction's error is not the
+    reference: it jumps severalfold between neighbouring directions."""
     c, G, h, spec = program(name, margin, share)
     pairs = []
     solve_block = socp._BlockNewton.solve
@@ -139,29 +147,34 @@ def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, shar
     res_block = solve(monkeypatch, block, c, G, h, spec)
     res_dense = solve(monkeypatch, dense, c, G, h, spec)
     assert len(pairs) >= 3 * (res_block.iterations - 1)
-    for mine, ref in pairs:
-        assert mine[0] <= max(10.0 * ref[0], 1e-14)
-        assert mine[1] <= max(10.0 * ref[1], 1e-14)
+    bound = np.maximum(10.0 * np.max([ref for _, ref in pairs], axis=0), 1e-14)
+    for mine, _ in pairs:
+        assert mine[0] <= bound[0] and mine[1] <= bound[1]
     assert res_block.status == res_dense.status
     if res_dense.status == "optimal":
         assert res_block.obj == pytest.approx(res_dense.obj, rel=1e-6, abs=1e-7)
 
 
-def test_block_path_needs_the_relaxed_rule_no_more_often(monkeypatch):
+def test_no_case_needs_the_relaxed_rule(monkeypatch):
+    # every case passes the strict test, on either Newton path
     programs = [program(*case) for case in CASES]
-    count = {newton: sum(relaxed(solve(monkeypatch, newton, *p)) for p in programs)
-             for newton in (dense, block)}
-    assert count[block] <= count[dense]
+    needs = [(case, newton.__name__) for case, p in zip(CASES, programs)
+             for newton in (dense, block) if relaxed(solve(monkeypatch, newton, *p))]
+    assert needs == []
 
 
 @pytest.mark.parametrize("force_block", [False, True])
 @pytest.mark.parametrize("name,share,ends_relaxed", [
-    ("desk8-full", 0.0, True), ("users-exceed-antennas", 0.5, False)])
+    ("desk8-full", 0.0, True), ("desk8-full", 0.0, False),
+    ("users-exceed-antennas", 0.5, False)])
 def test_iterations_count_every_newton_step(monkeypatch, force_block, name, share,
                                             ends_relaxed):
-    # whether the solve returns the relaxed best iterate or passes the strict
-    # test, each iteration it ran built one scaling
+    # whether the solve passes the strict test or returns the relaxed best
+    # iterate, each iteration it ran built one scaling; a feasibility
+    # tolerance of 0 keeps the strict test from firing
     c, G, h, spec = program(name, True, share)
+    if ends_relaxed:
+        monkeypatch.setattr(socp, "_FEASTOL", 0.0)
     built = []
     scaling = socp._Scaling.__init__
 
@@ -175,6 +188,42 @@ def test_iterations_count_every_newton_step(monkeypatch, force_block, name, shar
     res = socp.solve_socp(c, G, h, spec)
     assert res.status == "optimal" and relaxed(res) == ends_relaxed
     assert res.iterations == len(built)
+
+
+@pytest.mark.parametrize("config", ["desk.json", "paper.json"])
+def test_directions_meet_the_primal_equation(config):
+    # trial 0's full-association margin program at 0.9 times its optimum, on
+    # the dense (desk) and the block (paper) path.  Every direction must meet
+    # G dx + ds - h dtau = -damp rz to rounding; a Delta s formed through
+    # the scaling W missed it by 4 |G dx| late in the desk solve, so its
+    # primal residual rose and the strict test never fired
+    cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / "configs" / config)
+    _, ch = draw_trial(cfg, 0)
+    caps, noise = cfg.power_caps_w(), cfg.noise_power_w()
+    full = AssociationMap.full(cfg.n_rrh, cfg.n_users)
+    gamma = 0.9 * max_min_value(ch, full, caps, noise)[0]
+    prob = _BeamProblem(ch, full, caps, noise)
+    c = np.zeros(prob.nx)
+    c[0] = -1.0
+    misses = []
+
+    def watch(frame, event, arg):
+        # the locals of solve_socp's direction() as it returns
+        if event == "return" and frame.f_code.co_name == "direction":
+            f = frame.f_locals
+            Gdx = f["newton"].G @ f["dx"]
+            miss = Gdx + f["dsz"][0] - f["h"] * f["dtau"] + f["damp"] * f["rz"]
+            misses.append(np.linalg.norm(miss) / np.linalg.norm(Gdx))
+
+    profile = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        res = prob._solve(prob._build(True), gamma, c)
+    finally:
+        sys.setprofile(profile)
+    assert max(misses) <= 1e-12
+    assert res.status == "optimal" and not relaxed(res)
+    assert len(misses) == 2 * res.iterations  # a predictor and a corrector each
 
 
 def test_path_follows_problem_size():
