@@ -33,9 +33,15 @@ builds it once and passes it in.
 A solve starts cold from (0, e, e), or warm from a nearby optimum (see
 `solve_socp`).
 
-The per-iteration cone kernels are written as few numpy calls: W^-1 applies
-V(Jw) = V(w)^-1 through the same code as W, and `ConeSpec.max_step` takes s
-and z (and their directions) stacked as rows, so one call bounds the step.
+The per-iteration cone kernels are written as few numpy calls, and each
+gives bit for bit what its plain reference form gives (the tests keep those
+forms).  W^-1 applies V(Jw) = V(w)^-1 through the same code as W.  The
+scaling computes once per iteration what several kernels read: u'Ju of s
+and z, from one stacked `jdot`, and lambda'J lambda and lambda's heads for
+the divisions by lambda.  `ConeSpec.max_step` takes s and z (and their
+directions) stacked as rows, with the scaling's u'Ju, so one call bounds the
+step.  On the block path, each cone's G_i'Jw_i is one `np.bincount` over
+G's entries.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ class ConeSpec:
         """Per-block hyperbolic products u0*v0 - u_'v_, row by row if u and
         v hold several vectors as rows."""
         prod = u * v
-        return 2.0 * prod[..., self.heads] - np.add.reduceat(prod, self.heads, axis=-1)
+        return 2.0 * prod.take(self.heads, axis=-1) - np.add.reduceat(prod, self.heads, axis=-1)
 
     def interior(self, u: np.ndarray) -> bool:
         return bool((u[self.heads] > 0).all() and (self.jdot(u, u) > 0).all())
@@ -122,34 +128,45 @@ class ConeSpec:
         out[self.heads] = self.dot(u, v)
         return out
 
-    def jdiv(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o u = d for u, lam interior."""
-        rho = self.jdot(lam, lam)
-        u0 = self.jdot(lam, d) / rho
-        lam0 = lam[self.heads]
-        out = (d - u0[self.block_ids] * lam) / lam0[self.block_ids]
-        out[self.heads] = u0
-        return out
+    def max_step(self, u: np.ndarray, d: np.ndarray, uu: np.ndarray) -> float:
+        """Largest alpha >= 0 with u + alpha*d in K, for u interior with
+        uu = u'Ju per cone (`_Scaling.uu`).  u and d may hold several points
+        and their directions as rows, uu their products row by row; the step
+        is then the largest that keeps every row in K.
 
-    def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
-        """Largest alpha >= 0 with u + alpha*d in K, for u interior.  u and d
-        may hold several points and their directions as rows; the step is
-        then the largest that keeps every row in K."""
-        a, b, c0 = self.jdot(np.array((d, u, u)), np.array((d, d, u)))
-        u0, d0 = u[..., self.heads], d[..., self.heads]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = b * b - a * c0
-            sq = np.sqrt(disc)
-            # a > 0: the nearer root if real; a == 0: the linear crossing
-            root = np.where(a > 0.0, np.where(disc >= 0.0, c0 / (-b + sq), np.inf),
-                            -c0 / (2.0 * b))
-            alpha = np.where(a < 0.0, (-b - sq) / a,
-                             np.where((a >= 0.0) & (b < 0.0), root, np.inf))
+        Per cone, the step is the nearer root of the quadratic
+        (u + alpha d)'J(u + alpha d) = 0 where it leaves the cone, capped by
+        the head crossing.  There are only a few numbers per cone, so the
+        root is picked in one Python pass over them, a NaN carried through
+        as np.minimum and np.min carry it."""
+        from math import sqrt
+
+        du = np.array((d, u))
+        # a = d'Jd, b = u'Jd, c0 = u'Ju and the heads d0, u0, row by row
+        nums = np.concatenate((self.jdot(du, d), uu[None], du.take(self.heads, axis=-1)))
+        step = np.inf
+        for a, b, c0, d0, u0 in zip(*nums.reshape(5, -1).tolist()):
+            if a < 0.0:
+                disc = b * b - a * c0
+                alpha = (-b - sqrt(disc)) / a if not disc < 0.0 else np.nan
+            elif a > 0.0 and b < 0.0:
+                # the nearer root if real
+                disc = b * b - a * c0
+                alpha = c0 / (-b + sqrt(disc)) if disc >= 0.0 else np.inf
+            elif a == 0.0 and b < 0.0:
+                alpha = -c0 / (2.0 * b)  # the linear crossing
+            else:
+                alpha = np.inf
             # apex exits (head sign flip while the hyperbolic form only grazes
             # zero) are invisible to the quadratic; the head crossing is
             # always a valid upper bound on the feasible interval
-            alpha = np.where(d0 < 0.0, np.minimum(alpha, -u0 / d0), alpha)
-        return float(alpha.min())
+            if d0 < 0.0:
+                head = -u0 / d0
+                if head < alpha or head != head:
+                    alpha = head
+            if alpha < step or alpha != alpha:
+                step = alpha
+        return step
 
 
 class _Scaling:
@@ -160,19 +177,23 @@ class _Scaling:
     lambda = W z = W^-1 s.  The inverse is V(w)^-1 = J V(w) J = V(Jw), and
     V(Jw) u forms the same products in the same order as J V(w) J u, so
     W^-1 is applied as V(Jw) / eta with bit-identical results.
+
+    It keeps what the rest of the iteration reads at the same point: uu, the
+    per-cone s'Js and z'Jz as rows (`ConeSpec.max_step` bounds the step from
+    them), and lambda'J lambda and lambda's heads, which `lam_div` reads.
     """
 
-    __slots__ = ("spec", "w", "jw", "w0", "w0p1", "eta", "eta_b", "lam")
+    __slots__ = ("spec", "uu", "w", "jw", "w0", "w0p1", "eta", "eta_b", "lam",
+                 "lam_rho", "lam0_b")
 
     def __init__(self, spec: ConeSpec, s: np.ndarray, z: np.ndarray):
         self.spec = spec
         heads, bid = spec.heads, spec.block_ids
-        rho_s = spec.jdot(s, s)
-        rho_z = spec.jdot(z, z)
-        if (rho_s <= 0).any() or (rho_z <= 0).any():
+        sz = np.array((s, z))
+        self.uu = spec.jdot(sz, sz)
+        if (self.uu <= 0).any():
             raise LinAlgError("scaling point left the cone interior")
-        sbar = s / np.sqrt(rho_s)[bid]
-        zbar = z / np.sqrt(rho_z)[bid]
+        sbar, zbar = sz / np.sqrt(self.uu)[:, bid]
         gamma = np.sqrt((1.0 + spec.dot(sbar, zbar)) / 2.0)
         jz = -zbar
         jz[heads] = zbar[heads]
@@ -181,9 +202,19 @@ class _Scaling:
         self.jw = -self.w
         self.jw[heads] = self.w0
         self.w0p1 = 1.0 + self.w0
-        self.eta = (rho_s / rho_z) ** 0.25
+        self.eta = (self.uu[0] / self.uu[1]) ** 0.25
         self.eta_b = self.eta[bid]
         self.lam = self.apply_w(z)
+        self.lam_rho = spec.jdot(self.lam, self.lam)
+        self.lam0_b = self.lam[heads][bid]
+
+    def lam_div(self, d: np.ndarray) -> np.ndarray:
+        """Solve lambda o u = d for u."""
+        spec = self.spec
+        u0 = spec.jdot(self.lam, d) / self.lam_rho
+        out = (d - u0[spec.block_ids] * self.lam) / self.lam0_b
+        out[spec.heads] = u0
+        return out
 
     def _v(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
         """V(w) u, with w one of self.w and self.jw; a matrix u is
@@ -212,9 +243,11 @@ class _Scaling:
 # Programs with fewer variables than this factor G' W^-2 G whole: below it
 # the block solver's extra numpy calls cost more than the dense kernels.
 # Forced onto desk programs (73 variables), the block solver gave the same
-# values within 1.3e-8 relative but took 1.0-1.2 s instead of 0.43-0.59 s
-# on eight desk max-mins, and 0.65-0.87 s instead of 0.18-0.28 s on three
-# tiny oracle instances (one BLAS thread, 2-vCPU virtual machine).
+# values within 3e-10 relative but took 0.48-0.59 s instead of 0.27-0.28 s
+# on eight desk max-mins (`solve_max_min`, full association, seeds 0-7),
+# and 0.29-0.35 s instead of 0.09-0.10 s on three tiny oracle instances
+# (configs/tiny.json trials 0-2 at 8 Mb/s); six runs each, one BLAS
+# thread, 2-vCPU virtual machine.
 _BLOCK_MIN_COLS = 200
 
 
@@ -301,6 +334,7 @@ class _BlockNewton:
         self.R = np.zeros(p.rshape)
         self.R[p.rindex] = G.val[~p.head]
         self.free, self.perm, self.rcone, self.pad = p.free, p.perm, p.rcone, p.pad
+        self.row, self.val, self.ukey = G.row, G.val, p.ukey
 
     def factor(self, scal: _Scaling) -> bool:
         spec, n = self.spec, self.n
@@ -316,10 +350,12 @@ class _BlockNewton:
         self.Dinv = np.matmul(Linv.transpose(0, 2, 1), Linv)
 
         nc = spec.nblocks
-        E = np.zeros((spec.m, nc))
-        E[np.arange(spec.m), spec.block_ids] = scal.jw * einv[spec.block_ids]
         V = np.zeros((n + 1, 2 * nc + len(self.free)))
-        V[:n, :nc] = self.GT @ E       # eta^-1 u per cone
+        # eta^-1 u per cone: G's entries times eta^-1 Jw of their rows, summed
+        # by (column, cone) in the order of GT @ E, E the (row, cone) selector
+        ejw = scal.jw * einv[spec.block_ids]
+        V[:n, :nc] = np.bincount(self.ukey, self.val * ejw[self.row],
+                                 minlength=n * nc).reshape(n, nc)
         V[:n, nc:2 * nc] = self.H * einv  # eta^-1 g per cone
         self.delta = np.einsum("ij,ij->i", V[self.free], V[self.free])
         self.delta[self.delta == 0.0] = 1.0
@@ -386,6 +422,7 @@ class _BlockPattern:
         self.indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.bincount(row, minlength=m), out=self.indptr[1:])
         cone = spec.block_ids[row]
+        self.ukey = col * spec.nblocks + cone  # (column, cone) of each entry
         self.head = spec.heads[cone] == row
         self.hcol, self.hcone = col[self.head], cone[self.head]
         tail = ~self.head
@@ -575,20 +612,21 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
         lamlam = spec.jprod(lam, lam)
 
         def direction(ds, dtk, damp):
-            vs = spec.jdiv(lam, ds)
-            x2, z2 = newton.solve(-damp * rx, -damp * rz - scal.apply_w(vs))
+            vs = scal.lam_div(ds)
+            brz = -damp * rz
+            x2, z2 = newton.solve(-damp * rx, brz - scal.apply_w(vs))
             dtau = (-damp * rtau - float(c @ x2 + h @ z2) - dtk / tau) / den_tau
             dx = x2 + dtau * x1
             dz = z2 + dtau * z1
             # Delta s from the linearized primal equation
             # G dx + ds - h dtau = -damp rz: W (vs - W dz) meets it only up
             # to W's condition number, which grows as mu falls
-            dsz = np.array((-damp * rz - newton.G @ dx + h * dtau, dz))
+            dsz = np.array((brz - newton.G @ dx + h * dtau, dz))
             dkappa = (dtk - kappa * dtau) / tau
             return dx, dsz, dtau, dkappa, vs
 
         def boundary_step(dsz, dtau, dkappa):
-            alpha = spec.max_step(sz, dsz)
+            alpha = spec.max_step(sz, dsz, scal.uu)
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from cran_maxmin.socp import _FEASTOL, ConeSpec, _DenseNewton, _Scaling, solve_socp
+from cran_maxmin.socp import (_FEASTOL, ConeSpec, CooMatrix, NewtonLayout, _BlockNewton,
+                               _BlockPattern, _DenseNewton, _Scaling, solve_socp)
 
 
 def interior_point(rng, spec, scale=1.0):
@@ -62,10 +63,10 @@ class TestScaling:
                                        rtol=1e-9, atol=1e-11)
 
     def test_jordan_div_inverts_prod(self, spec, rng):
-        lam = interior_point(rng, spec)
+        sc = _Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
         d = rng.standard_normal(spec.m)
-        u = spec.jdiv(lam, d)
-        np.testing.assert_allclose(spec.jprod(lam, u), d, rtol=1e-9, atol=1e-10)
+        u = sc.lam_div(d)
+        np.testing.assert_allclose(spec.jprod(sc.lam, u), d, rtol=1e-9, atol=1e-10)
 
 
 class TestMaxStep:
@@ -73,7 +74,7 @@ class TestMaxStep:
         for _ in range(300):
             u = interior_point(rng, spec)
             d = rng.standard_normal(spec.m)
-            a = spec.max_step(u, d)
+            a = spec.max_step(u, d, spec.jdot(u, u))
             if np.isfinite(a):
                 assert spec.interior(u + 0.999 * a * d)
                 assert not spec.interior(u + 1.001 * a * d)
@@ -90,7 +91,7 @@ class TestMaxStep:
         spec = ConeSpec([1, 1])
         u = np.array([u_head, 1.0])
         d = np.array([d_head, d_other])
-        a = spec.max_step(u, d)
+        a = spec.max_step(u, d, spec.jdot(u, u))
         expected = np.inf
         if d_head < 0:
             expected = -u_head / d_head
@@ -132,6 +133,16 @@ def ref_max_step(spec, u, d):
     if drop.any():
         alpha[drop] = np.minimum(alpha[drop], -u0[drop] / d0[drop])
     return float(alpha.min())
+
+
+def ref_jdiv(spec, lam, d):
+    """Solve lam o u = d for u, lam interior."""
+    rho = spec.jdot(lam, lam)
+    u0 = spec.jdot(lam, d) / rho
+    lam0 = lam[spec.heads]
+    out = (d - u0[spec.block_ids] * lam) / lam0[spec.block_ids]
+    out[spec.heads] = u0
+    return out
 
 
 def ref_v(sc, u):
@@ -203,7 +214,7 @@ class TestBitExactKernels:
             kinds["pos"] += int(((a > 0) & (b < 0)).sum())
             kinds["lin"] += int(((a == 0) & (b < 0)).sum())
             kinds["apex"] += int((d[spec.heads] < 0).sum())
-            assert np.array_equal(spec.max_step(u, d), ref_max_step(spec, u, d))
+            assert np.array_equal(spec.max_step(u, d, spec.jdot(u, u)), ref_max_step(spec, u, d))
         # on rays d'Jd = d0^2 is never negative, and zero only with b = 0
         possible = kinds if max(spec.dims) > 1 else ("pos", "apex")
         assert all(kinds[k] for k in possible), kinds
@@ -215,8 +226,48 @@ class TestBitExactKernels:
             z = interior_point(rng, spec, scale=10.0 ** rng.uniform(-3, 3))
             ds = null_direction(rng, spec) if trial % 3 == 0 else rng.standard_normal(spec.m)
             dz = rng.standard_normal(spec.m)
-            stacked = spec.max_step(np.array((s, z)), np.array((ds, dz)))
+            # u'Ju of both rows as the solver passes it, from the scaling
+            uu = _Scaling(spec, s, z).uu
+            stacked = spec.max_step(np.array((s, z)), np.array((ds, dz)), uu)
             assert stacked == min(ref_max_step(spec, s, ds), ref_max_step(spec, z, dz))
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_max_step_carries_nan_and_inf_as_the_reference(self, spec, rng):
+        # one entry of u or d is NaN, infinite, or so large that d'Jd
+        # overflows to NaN while u'Jd stays finite; the reference's
+        # np.minimum and np.min carry a NaN from any cone, and a NaN d'Jd
+        # selects no root, whatever the sign of u'Jd
+        outcomes = {"nan": 0, "finite": 0, "inf": 0, "nan a, b < 0": 0}
+        for trial in range(900):
+            u = interior_point(rng, spec)
+            d = rng.standard_normal(spec.m)
+            bad = (u, d)[trial % 2]
+            bad[rng.integers(spec.m)] = (np.nan, np.inf, -np.inf, 1e200, -1e200)[trial // 2 % 5]
+            with np.errstate(all="ignore"):
+                uu = spec.jdot(u, u)
+                ref = ref_max_step(spec, u, d)
+                got = spec.max_step(u, d, uu)
+                a, b = spec.jdot(d, d), spec.jdot(u, d)
+            assert np.array_equal(got, ref, equal_nan=True), (u, d, got, ref)
+            outcomes["nan" if np.isnan(ref) else "finite" if np.isfinite(ref) else "inf"] += 1
+            outcomes["nan a, b < 0"] += int((np.isnan(a) & (b < 0)).sum())
+        assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_scaling_products_equal_one_jdot_per_point(self, spec, rng):
+        for _ in range(100):
+            s = interior_point(rng, spec, scale=10.0 ** rng.uniform(-4, 4))
+            z = interior_point(rng, spec, scale=10.0 ** rng.uniform(-4, 4))
+            uu = _Scaling(spec, s, z).uu
+            assert np.array_equal(uu, np.array((spec.jdot(s, s), spec.jdot(z, z))))
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
+    def test_lambda_division_equals_jdiv(self, spec, rng):
+        for _ in range(100):
+            sc = _Scaling(spec, interior_point(rng, spec, scale=1e-3),
+                          interior_point(rng, spec, scale=1e3))
+            d = rng.standard_normal(spec.m) * 10.0 ** rng.uniform(-4, 4)
+            assert np.array_equal(sc.lam_div(d), ref_jdiv(spec, sc.lam, d))
 
     @pytest.mark.parametrize("spec", BIT_SPECS, ids=lambda s: str(s.dims))
     def test_w_and_its_inverse_equal_j_v_j(self, spec, rng):
@@ -248,6 +299,33 @@ class TestBitExactKernels:
             ref_dx = cho_solve(cho, bx + Gtil.T @ bbz, check_finite=False)
             assert np.array_equal(dx, ref_dx)
             assert np.array_equal(dz, ref_w_inv(sc, Gtil @ ref_dx - bbz))
+
+
+    @pytest.mark.parametrize("name", ["paper-size-margin", "random-dense"])
+    def test_block_cone_terms_equal_the_selector_product(self, name, rng):
+        # eta^-1 u per cone (u = G_i'Jw_i), summed by (column, cone), against
+        # the product GT @ E with E the (row, cone) selector it replaced.  The
+        # paper-size template has at most two entries per (column, cone), so
+        # only a G with more tests the order of the sums
+        if name == "random-dense":
+            spec = BIT_SPECS[2]
+            G = rng.standard_normal((spec.m, 9)) * (rng.random((spec.m, 9)) < 0.7)
+            G[0] = 1.0
+            G = CooMatrix.from_dense(G)
+            newton = _BlockNewton(G, _BlockPattern(G, spec))
+        else:
+            _, G, _, spec = WARM_START_PROGRAMS[name]
+            newton = NewtonLayout(G, spec).system(G)
+            assert isinstance(newton, _BlockNewton)
+        n, nc = G.shape[1], spec.nblocks
+        for _ in range(10):
+            sc = _Scaling(spec, interior_point(rng, spec, scale=10.0 ** rng.uniform(-3, 3)),
+                          interior_point(rng, spec, scale=10.0 ** rng.uniform(-3, 3)))
+            assert newton.factor(sc)
+            einv = 1.0 / sc.eta
+            E = np.zeros((spec.m, nc))
+            E[np.arange(spec.m), spec.block_ids] = sc.jw * einv[spec.block_ids]
+            assert np.array_equal(newton.V[:n, :nc], newton.GT @ E)
 
 
 class TestAnalyticPrograms:
