@@ -148,6 +148,7 @@ class ConeSpec:
         for a, b, c0, d0, u0 in zip(*nums.reshape(5, -1).tolist()):
             if a < 0.0:
                 disc = b * b - a * c0
+                # NaN where math.sqrt would raise, as np.sqrt gives (a NaN disc passes)
                 alpha = (-b - sqrt(disc)) / a if not disc < 0.0 else np.nan
             elif a > 0.0 and b < 0.0:
                 # the nearer root if real
