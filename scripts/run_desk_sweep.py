@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Desk-scale sweep (CI-sized): 3 RRHs x 2 antennas, 6 users, 20 trials.
 
-Writes results_desk.csv next to the repo root.  Takes about 10 s on two
-cores (one BLAS thread per process, 2-vCPU virtual machine).
+Writes results_desk.csv next to the repo root.  Takes about 5 s on two
+cores (one BLAS thread per process, 2-vCPU virtual machine; README has the
+measured figures).
 """
 
 import sys

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Paper-scale sweep: 5 RRHs x 5 antennas, 15 users, 100 channel draws.
 
-Heavy: trial 0 takes 20 to 22 s on one core (one BLAS thread, 2-vCPU
-virtual machine), so 100 trials of that cost take 35 to 40 min with one
-worker; --threads 2 runs two trials at a time, about 20 min on two free
-cores.
+Heavy: trial 0 takes 11 to 12 s on one core (one BLAS thread, 2-vCPU
+virtual machine; README has the measured figures).  --threads 2 runs two
+trials at a time: the 100 trials took about 9 min on two free cores, and
+take about twice that with one worker.
 """
 
 import sys

@@ -319,19 +319,17 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
     solves, is not a drop.
 
     The first drop is found by bisection, not by walking the path.  Each
-    step adds a link, so gamma1 cannot fall by more than the tolerance, and
-    adds a load, so gamma2 cannot rise.  A drop therefore needs gamma2 to
-    fall, and over the steps where it falls the drop test is false and then
-    true when each fall cuts gamma2 below (1 - 2 tol) times its previous
-    value, as it does at equal capacities; otherwise the falls are tested in
-    order.  A test solves the step and the one before it.  The start is
-    solved first, with no hints; every later search starts from the nearest
+    step adds a link, so gamma1 does not fall (beyond the tolerance), and
+    step i drops only if gamma2[i] < (1 - 2 tol) gamma[i - 1]: only a fall
+    of gamma2 by more than 2 tol can, and over those falls the test is false
+    and then true.  A test solves step i - 1 alone; the start is solved
+    first, with no hints, and every later search starts from the nearest
     solved gamma1 before it and is bounded by the nearest one after it.
     When a solve stalls past the next untested fall, the falls before it are
     tested in order, so a run fails only at a step the walk would solve
-    too.  A step the search skips is recorded with gamma1
-    and gamma None.  A gamma1 dip of more than 2 tol at a step where gamma2
-    does not fall, which the walk would take for a drop, is not looked for.
+    too.  A skipped step is recorded with gamma1 and gamma None, the stop
+    step with gamma1 None and gamma2 as its gamma.  A gamma1 dip of more
+    than 2 tol, which the walk would take for a drop, is not looked for.
     """
     report = SolveReport(scheme_label="bench2")
     if cache is None:
@@ -367,23 +365,14 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
             solved[i] = (gamma1, gamma, read)
         return solved[i]
 
-    def drops(i):
-        before = solve(i - 1)[1]
-        return solve(i)[1] < before * keep
-
     solve(0)
-    falls = [i for i in range(1, len(path)) if gamma2[i] < gamma2[i - 1]]
-    # falls are tested in order up to falls[scan_to], bisected after it.  A
-    # fall below keep times the bound before it drops if any earlier one did;
-    # a smaller one (unequal capacities allow it) need not, so then every fall
-    # is tested in order.
-    ordered = all(gamma2[i] < gamma2[i - 1] * keep for i in falls)
-    scan_to = -1 if ordered else len(falls)
+    falls = [i for i in range(1, len(path)) if gamma2[i] < keep * gamma2[i - 1]]
+    scan_to = -1  # falls up to falls[scan_to] are tested in order, after a stall
     lo, hi = -1, len(falls)  # the test is false at falls[lo], true at falls[hi]
     while hi - lo > 1:
         mid = lo + 1 if lo + 1 <= scan_to else (lo + hi) // 2
         try:
-            dropped = drops(falls[mid])
+            dropped = gamma2[falls[mid]] < keep * solve(falls[mid] - 1)[1]
         except SolverIndeterminate:
             if mid == lo + 1:
                 raise
@@ -393,6 +382,8 @@ def run_benchmark2(ch: ChannelState, cfg: NetworkConfig,
             continue
         lo, hi = (lo, mid) if dropped else (mid, hi)
     stop = falls[hi] if hi < len(falls) else None
+    if stop is not None:  # its test solved stop - 1; gamma2 binds where it drops
+        solved[stop] = (None, gamma2[stop], None)
     _, gamma, read = solve(len(path) - 1 if stop is None else stop - 1)
     report.iterations = records(len(path) if stop is None else stop + 1)
     return _finish(report, gamma, read, cfg)

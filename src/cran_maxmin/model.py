@@ -170,8 +170,9 @@ def _json_number(value):
 
 @dataclass
 class IterationRecord:
-    """One row of an algorithm trace.  gamma1 and gamma are None at a step
-    whose max-min was never solved (a bench2 step its search skipped)."""
+    """One row of an algorithm trace.  gamma1 is None at a bench2 step whose
+    max-min was never solved: gamma is None too at a skipped step, and is
+    gamma2 at the stop step, where the fronthaul binds."""
 
     t: int
     gamma1: Optional[float]

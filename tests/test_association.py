@@ -403,11 +403,14 @@ class TestBenchmark2:
             cache = self._stubbed(monkeypatch, ch, gamma1s, gamma2s)
             report = runner(ch, cfg, TOL, cache=cache)
             assert len(report.iterations) == 5
-            gammas = [r.gamma for r in report.iterations]
-            assert gammas[:2] == [1.0, low] and gammas[3:] == [low, low * (1.0 - dip)]
+            assert report.iterations[-1].gamma == low * (1.0 - dip)
             assert report.final_gamma == (low if drop else low * (1.0 - dip))
-        # the bisection tests steps 1 and 4, so it never solves step 2
-        assert report.iterations[2].gamma1 is None and report.iterations[2].gamma is None
+        # the bisection tests the fall at step 1 on the start's value, and the
+        # one at step 4 only when it is wider than 2 tol, on step 3's value;
+        # else it solves the path's end.  It never solves step 1 or 2.
+        assert [r.gamma for r in report.iterations] == \
+            [1.0, None, None, low if drop else None, low * (1.0 - dip)]
+        assert report.iterations[-1].gamma1 == (None if drop else 1.4)
 
     def test_each_search_starts_from_the_nearest_solved_gamma1s(self, monkeypatch):
         # an activation adds a link, so a solved gamma1 bounds every later
@@ -423,11 +426,37 @@ class TestBenchmark2:
         cache = self._stubbed(monkeypatch, ch, gamma1s, gamma2s, hints)
         report = run_benchmark2(ch, cfg, TOL, cache=cache)
         up = TOL.hint_headroom
-        # the start cold, then the test at step 4, then the one at step 2
-        assert hints == [(0, None, None), (3, None, 1.0), (4, None, 1.6),
-                         (1, 1.6 * up, 1.0), (2, 1.6 * up, 1.2)]
+        # the start cold, then the test at step 4 (it solves step 3), then
+        # the one at step 2 (it solves step 1)
+        assert hints == [(0, None, None), (3, None, 1.0), (1, 1.6 * up, 1.0)]
         assert len(report.iterations) == 5 and report.final_gamma == 1.4
-        assert [r.gamma for r in report.iterations] == [1.0, 1.2, 1.4, 1.4, 1.0]
+        assert [r.gamma for r in report.iterations] == [1.0, 1.2, None, 1.4, 1.0]
+
+    @pytest.mark.parametrize("gamma2s", [
+        [math.inf, math.inf, 1.4, 1.4, 1.0, 1.0, 0.5],
+        [math.inf, 2.0, 2.0 * (1.0 - 1e-5), 1.3, 1.3 * (1.0 - 1e-5), 1.3 * (1.0 - 2e-5), 1.0]],
+        ids=["wide-falls", "small-falls-too"])
+    def test_only_falls_that_can_drop_are_solved_for(self, monkeypatch, gamma2s):
+        # with F falls of gamma2 wider than 2 bisection_rel_tol, bench2 solves
+        # the start, one step per bisection test and perhaps the path's end,
+        # and it solves no step only to test a fall within 2 tol.  The first
+        # stub has 3 such falls; the second adds 3 small ones after the first
+        # and second of its 3 wide falls.  Both drop first at step 3 or 4.
+        ch = random_channels(33, 3, 3, 2)
+        cfg = _netcfg(ch, 1.0, (1e12,) * 3)
+        gamma1s = [1.0, 1.2, 1.5, 1.6, 1.7, 1.8, 1.9]
+        keep = 1.0 - 2.0 * TOL.bisection_rel_tol
+        falls = [i for i in range(1, 7) if gamma2s[i] < keep * gamma2s[i - 1]]
+        hints = []
+        report = run_benchmark2(ch, cfg, TOL,
+                                cache=self._stubbed(monkeypatch, ch, gamma1s, gamma2s, hints))
+        solved = [i for i, _, _ in hints]
+        assert len(solved) <= 2 + math.ceil(math.log2(len(falls) + 1))
+        assert set(solved) <= {0, 6} | {i - 1 for i in falls}
+        walk = _walk_benchmark2(ch, cfg, TOL,
+                                cache=self._stubbed(monkeypatch, ch, gamma1s, gamma2s))
+        assert [r.gamma2 for r in report.iterations] == [r.gamma2 for r in walk.iterations]
+        assert report.final_gamma == walk.final_gamma
 
     @pytest.mark.parametrize("dip, drop", [(1e-5, False), (3e-4, True)])
     def test_the_walk_stops_on_a_gamma1_dip(self, monkeypatch, dip, drop):
@@ -449,11 +478,12 @@ class TestBenchmark2:
         assert [r.gamma for r in report.iterations] == [1.0, None, None, None, 2.0]
         assert report.final_gamma == 2.0
 
-    def test_a_small_fall_after_a_drop_is_tested_in_order(self, monkeypatch):
+    def test_a_small_fall_after_a_drop_is_skipped(self, monkeypatch):
         # unequal capacities can cut gamma2 by less than 2 bisection_rel_tol
         # (step 4 here), so the drop test is false there after it was true at
         # step 2.  A bisection over the falls 2, 4, 6 would test step 4 first
-        # and stop at step 6; in order, the first drop is step 2, as in the walk.
+        # and stop at step 6; over the falls 2 and 6 that can drop, the first
+        # drop is step 2, as in the walk.
         ch = random_channels(33, 3, 3, 2)
         cfg = _netcfg(ch, 1.0, (1e12,) * 3)
         small = 0.8 * (1.0 - 1e-5)
@@ -465,12 +495,13 @@ class TestBenchmark2:
             assert [r.gamma for r in report.iterations] == [1.0, 1.1, 0.8]
             assert report.final_gamma == 1.1
 
-    @pytest.mark.parametrize("stall, fails", [(3, False), (1, True), (2, True)])
+    @pytest.mark.parametrize("stall, fails", [(3, False), (1, True), (2, False)])
     def test_a_stall_fails_only_at_a_step_the_walk_solves(self, monkeypatch, stall, fails):
-        # the first drop is at step 2; the bisection's first test solves
-        # steps 3 and 4, which the walk never reaches.  A stall there sends
-        # the search back to test the falls before step 4 in order; a stall
-        # at step 1 or 2, which the walk solves, fails the run.
+        # the first drop is at step 2; the bisection's first test, of the
+        # fall at step 4, solves step 3, which the walk never reaches.  A
+        # stall there sends the search back to test the falls before step 4
+        # in order; a stall at step 1, which the walk solves, fails the run.
+        # The stop step 2 is never solved, so a stall there changes nothing.
         ch = random_channels(33, 3, 3, 2)
         cfg = _netcfg(ch, 1.0, (1e12,) * 3)
         gamma1s = [1.0, 1.2, 1.5, 1.6, 1.7, 1.8, 1.9]
@@ -543,7 +574,7 @@ class TestBenchmark2:
         assert stops == 2 and skips > 0
 
     def test_unequal_capacities_make_a_fall_too_small_to_bisect(self):
-        # so that the agreement above covers falls tested in order
+        # so that the agreement above covers a small fall, which bench2 skips
         _, ch, sigma2 = desk_instance(41)
         cfg = _netcfg(ch, sigma2, (4e6, 8e6, 8.001e6))
         bound = [association.fronthaul_cap(assoc, cfg.fronthaul_cap_bps, cfg.bandwidth_hz)
