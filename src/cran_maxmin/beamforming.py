@@ -41,6 +41,9 @@ _log = logging.getLogger(__name__)
 # optimum is a worse start than the standard one.
 _WARM_GATE = 0.2
 
+# A max-min search makes at most this many feasibility probes.
+_MAX_PROBES = 60
+
 
 class SolverIndeterminate(RuntimeError):
     """The cone solver stalled before reaching any certificate."""
@@ -58,16 +61,13 @@ class SolverTolerances:
 
     bisection_rel_tol: a max-min search stops once its bracket [lo feasible,
     hi infeasible] has hi - lo <= bisection_rel_tol * lo.  cone_feas_tol: a
-    probe is feasible iff its optimal margin is at least -cone_feas_tol.
-    max_bisection_iters: at most this many feasibility probes per max-min
-    search.  The search takes Newton steps; the names are older than that."""
+    probe is feasible iff its optimal margin is at least -cone_feas_tol."""
 
     bisection_rel_tol: float = 1e-4
     cone_feas_tol: float = 1e-7
-    max_bisection_iters: int = 60
 
     def __post_init__(self):
-        for name in ("bisection_rel_tol", "cone_feas_tol", "max_bisection_iters"):
+        for name in ("bisection_rel_tol", "cone_feas_tol"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name}: must be > 0")
 
@@ -245,7 +245,7 @@ class _BeamProblem:
     def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None):
         """solve_socp on the template at gamma, with the template's Newton layout."""
         G, h, spec = self._instantiate(template, gamma)
-        return solve_socp(c, G, h, spec, start=start, layout=template.layout)
+        return solve_socp(c, G, h, spec, template.layout, start=start)
 
     def zeros(self) -> BeamformerSet:
         return BeamformerSet.zeros(self.K, self.N, self.M)
@@ -342,7 +342,7 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
                      gamma_lb: Optional[float] = None):
     """Shrink the bracket [lo feasible, hi infeasible] around the max-min
     optimum until hi - lo <= bisection_rel_tol * lo, with at most
-    max_bisection_iters probes.  Returns (lo, beamformers at lo).
+    _MAX_PROBES probes.  Returns (lo, beamformers at lo).
 
     f = margin + cone_feas_tol is >= 0 exactly at the feasible targets and
     falls smoothly in t = sqrt(gamma).  The first probe is at gamma_lb when
@@ -359,7 +359,7 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
     lo, hi, gamma, bf_lo = 0.0, gamma_ub, gamma_ub, None
     if gamma_lb is not None and 0.0 < gamma_lb < gamma_ub:
         gamma = gamma_lb
-    for _ in range(tol.max_bisection_iters):
+    for _ in range(_MAX_PROBES):
         if hi - lo <= tol.bisection_rel_tol * lo:
             break
         out = prob.probe(gamma, tol)
@@ -390,7 +390,7 @@ def max_min_value(ch: ChannelState, assoc: AssociationMap, power_cap_w,
 
     A safeguarded Newton search on the probe margin (see `_max_min_bracket`)
     narrows [lo, hi] from [0, upper bound] until hi - lo <=
-    bisection_rel_tol * lo; tol.max_bisection_iters caps its probes.
+    bisection_rel_tol * lo; _MAX_PROBES caps its probes.
     Returns (lo, the feasibility probe's beamformers at lo), zero
     beamformers when lo is 0.  No power-min runs and no template outlives
     the call.

@@ -314,6 +314,8 @@ def load_channel_state(path):
             doc = json.load(f)
     except OSError as exc:  # missing, a directory, no permission, ...
         raise ValueError(f"channel-state file {path} cannot be read: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"channel-state file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValueError(f"channel-state file {path} must hold a JSON object, "
                          f"not {type(doc).__name__}")

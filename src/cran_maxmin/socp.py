@@ -13,22 +13,20 @@ and a Mehrotra predictor-corrector step.  It supports nothing beyond the
 form above: no free rows, no equality constraints.  Its stopping rule is
 fixed by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
 
-G is passed either dense or as a `CooMatrix`: its nonzero entries, sorted
-row-major, the form the beamforming templates are built in.  A dense G is
-converted once on entry, so the solver reads G in one form only.
+G is passed as a `CooMatrix`: its entries, sorted row-major, the form the
+beamforming templates are built in.  The cones are a `ConeSpec`.
 
 G must have full column rank (every variable must enter some cone row);
 the reduced Newton matrix G' W^-2 G is then positive definite, and one
 factorization per iteration serves all three of its solves.  It is solved
-one of two ways, picked from the shape of G (see `_newton_system`):
-programs under `_BLOCK_MIN_COLS` variables densify G, form the matrix from
-W^-1 G and factor it whole; larger ones whose tail rows split the columns
-into small blocks (the beamforming templates: one block per user) solve it
-as a block-diagonal matrix plus low-rank cone-head terms, read straight off
-the entries of G, without forming it.  What depends only on where G's
-entries sit (the choice of solver and the block structure) is a
-`NewtonLayout`; a caller that solves many programs of one sparsity pattern
-builds it once and passes it in.
+one of two ways, picked from the shape of G by the `NewtonLayout` the
+caller passes: programs under `_BLOCK_MIN_COLS` variables densify G, form
+the matrix from W^-1 G and factor it whole; larger ones whose tail rows
+split the columns into small blocks (the beamforming templates: one block
+per user) solve it as a block-diagonal matrix plus low-rank cone-head
+terms, read straight off the entries of G, without forming it.  The layout
+depends only on where G's entries sit, so a caller that solves many
+programs of one sparsity pattern builds it once.
 
 A solve starts cold from (0, e, e), or warm from a nearby optimum (see
 `solve_socp`).
@@ -74,11 +72,6 @@ class CooMatrix(NamedTuple):
     val: np.ndarray
     shape: tuple
 
-    @classmethod
-    def from_dense(cls, A: np.ndarray) -> "CooMatrix":
-        row, col = np.nonzero(A)
-        return cls(row, col, A[row, col], A.shape)
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self.row, self.col] = self.val
@@ -118,9 +111,6 @@ class ConeSpec:
         v hold several vectors as rows."""
         prod = u * v
         return 2.0 * prod.take(self.heads, axis=-1) - np.add.reduceat(prod, self.heads, axis=-1)
-
-    def interior(self, u: np.ndarray) -> bool:
-        return bool((u[self.heads] > 0).all() and (self.jdot(u, u) > 0).all())
 
     def jprod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v = (u'v, u0*v_ + v0*u_) per block."""
@@ -327,7 +317,7 @@ class _BlockNewton:
     def __init__(self, G: CooMatrix, p: "_BlockPattern"):
         from scipy.sparse import csr_matrix
 
-        self.spec, self.n, self.width = p.spec, p.n, p.width
+        self.spec, self.n = p.spec, p.n
         self.G = csr_matrix((G.val, G.col, p.indptr), shape=G.shape)
         self.GT = self.G.T  # a CSC view of the same arrays
         self.H = np.zeros((p.n, p.spec.nblocks))
@@ -491,22 +481,18 @@ class NewtonLayout:
         return _BlockNewton(G, self.block)
 
 
-def _newton_system(G: CooMatrix, spec: ConeSpec):
-    """The Newton system of G, from a layout of its own."""
-    return NewtonLayout(G, spec).system(G)
-
-
 @dataclass
 class SocpResult:
     """Outcome of a cone-program solve.
 
     For status "optimal", x/s/z are the de-homogenized primal-dual solution
     and obj = c'x.  For "primal_infeasible", z is the Farkas certificate
-    (G'z ~ 0, h'z = -1).  For "dual_infeasible", x is the unbounded ray.
-    "indeterminate" means the iteration limit or a numerical stall was hit
-    before any of the three certificates was established.  iterations counts
-    the interior-point iterations run, also when the result is an earlier,
-    best iterate accepted with relaxed tolerances.
+    (G'z ~ 0, h'z = -1).  "indeterminate" means the iteration limit or a
+    numerical stall was hit before either certificate was established.  An
+    unbounded program is not looked for: the package poses none (the
+    power-cone heads cap the margin, and power is never negative).
+    iterations counts the interior-point iterations run, also when the
+    result is an earlier, best iterate accepted with relaxed tolerances.
     """
 
     status: str
@@ -520,27 +506,22 @@ class SocpResult:
     relgap: float
 
 
-def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
-               layout: NewtonLayout | None = None) -> SocpResult:
-    """Solve the program (c, G, h, K); G is a `CooMatrix` or dense.
+def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
+               layout: NewtonLayout, start=None) -> SocpResult:
+    """Solve the program (c, G, h, K), with the Newton systems of layout,
+    which must have been built from a G with this one's sparsity pattern.
 
     start, when given, is the (x, s, z) of an optimal solve of a program of
     the same shape, say at a nearby SINR target.  The iteration then starts
     at lambda (x, s, z) + (1 - lambda) (0, e, e) with tau = kappa = 1, with
     lambda = _WARM_WEIGHT: interior, since e is, and close to that optimum
     (the warm start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).
-    Without it, the start is (0, e, e).  layout, when given, must have been
-    built from a G with this one's sparsity pattern."""
-    spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
-    if not isinstance(G, CooMatrix):
-        G = CooMatrix.from_dense(np.asarray(G, dtype=float))
-    c = np.asarray(c, dtype=float)
-    h = np.asarray(h, dtype=float)
+    Without it, the start is (0, e, e)."""
     m, n = G.shape
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
 
-    newton = _newton_system(G, spec) if layout is None else layout.system(G)
+    newton = layout.system(G)
     e = spec.identity()
     if start is None:
         x = np.zeros(n)
@@ -567,12 +548,11 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
     pres = dres = relgap = np.inf
     it = 0
     for it in range(_MAX_ITERS):
-        Gx = newton.G @ x
         Gtz = newton.GT @ z
         cx = float(c @ x)
         hz = float(h @ z)
         rx = Gtz + c * tau
-        rz = Gx + s - h * tau
+        rz = newton.G @ x + s - h * tau
         rtau = cx + hz + kappa
         gap = float(s @ z)
 
@@ -586,9 +566,6 @@ def solve_socp(c: np.ndarray, G, h: np.ndarray, dims, start=None,
                               it, pres, dres, relgap)
         if hz < 0.0 and float(np.linalg.norm(Gtz)) / (-hz) / normc <= _FEASTOL:
             return SocpResult("primal_infeasible", None, None, z / (-hz), None,
-                              it, pres, dres, relgap)
-        if cx < 0.0 and float(np.linalg.norm(Gx + s)) / (-cx) / normh <= _FEASTOL:
-            return SocpResult("dual_infeasible", x / (-cx), s / (-cx), None, None,
                               it, pres, dres, relgap)
         score = max(pres, dres, relgap)
         if score < best_score:

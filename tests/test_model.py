@@ -3,6 +3,7 @@ structural properties."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,14 @@ class TestChannelFile:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{field}: must be"):
+            load_channel_state(path)
+
+    def test_truncated_file_is_named(self, tmp_path):
+        path = tmp_path / "chan.json"
+        save_channel_state(ChannelState(np.ones((1, 1, 1), complex)), path)
+        path.write_text(path.read_text()[:12])
+        with pytest.raises(ValueError, match=f"^channel-state file {re.escape(str(path))} "
+                           "is not valid JSON: "):
             load_channel_state(path)
 
     def test_missing_field_rejected(self, tmp_path):

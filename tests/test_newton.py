@@ -5,11 +5,13 @@ from its solves."""
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
+from test_socp import coo
 from cran_maxmin import beamforming, socp
 from cran_maxmin.association import nearest_rrh_association
 from cran_maxmin.beamforming import _BeamProblem, max_min_value, solve_max_min
@@ -76,23 +78,24 @@ CASES = [(name, True, share) for name in FIXTURES for share in (0.0, 0.5, 1.0)] 
         [(name, False, share) for name in FIXTURES for share in (0.5, 1.0 - 1e-4)]
 
 
-def solve(monkeypatch, newton, c, G, h, spec):
-    with monkeypatch.context() as mp:
-        mp.setattr(socp, "_newton_system", newton)
-        return socp.solve_socp(c, G, h, spec)
-
-
-def coo(G):
-    """G as the solver holds it, from a dense G or a CooMatrix."""
-    return G if isinstance(G, socp.CooMatrix) else socp.CooMatrix.from_dense(G)
+def solve(newton, c, G, h, spec):
+    """solve_socp on a dense G, with the Newton system newton(G, spec)."""
+    G = coo(G)
+    layout = SimpleNamespace(system=lambda G: newton(G, spec))
+    return socp.solve_socp(c, G, h, spec, layout)
 
 
 def dense(G, spec):
-    return socp._DenseNewton(coo(G).toarray())
+    return socp._DenseNewton(G.toarray())
 
 
 def block(G, spec):
-    return socp._BlockNewton(coo(G), socp._BlockPattern(coo(G), spec))
+    return socp._BlockNewton(G, socp._BlockPattern(G, spec))
+
+
+def own(G, spec):
+    """The system the layout of G's own pattern picks."""
+    return socp.NewtonLayout(G, spec).system(G)
 
 
 def relaxed(res):
@@ -144,8 +147,8 @@ def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, shar
         return dx, dz
 
     monkeypatch.setattr(socp._BlockNewton, "solve", checked)
-    res_block = solve(monkeypatch, block, c, G, h, spec)
-    res_dense = solve(monkeypatch, dense, c, G, h, spec)
+    res_block = solve(block, c, G, h, spec)
+    res_dense = solve(dense, c, G, h, spec)
     assert len(pairs) >= 3 * (res_block.iterations - 1)
     bound = np.maximum(10.0 * np.max([ref for _, ref in pairs], axis=0), 1e-14)
     for mine, _ in pairs:
@@ -155,11 +158,11 @@ def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, shar
         assert res_block.obj == pytest.approx(res_dense.obj, rel=1e-6, abs=1e-7)
 
 
-def test_no_case_needs_the_relaxed_rule(monkeypatch):
+def test_no_case_needs_the_relaxed_rule():
     # every case passes the strict test, on either Newton path
     programs = [program(*case) for case in CASES]
     needs = [(case, newton.__name__) for case, p in zip(CASES, programs)
-             for newton in (dense, block) if relaxed(solve(monkeypatch, newton, *p))]
+             for newton in (dense, block) if relaxed(solve(newton, *p))]
     assert needs == []
 
 
@@ -183,9 +186,7 @@ def test_iterations_count_every_newton_step(monkeypatch, force_block, name, shar
         scaling(self, *args)
 
     monkeypatch.setattr(socp._Scaling, "__init__", counted)
-    if force_block:
-        monkeypatch.setattr(socp, "_newton_system", block)
-    res = socp.solve_socp(c, G, h, spec)
+    res = solve(block if force_block else own, c, G, h, spec)
     assert res.status == "optimal" and relaxed(res) == ends_relaxed
     assert res.iterations == len(built)
 
@@ -230,14 +231,14 @@ def test_path_follows_problem_size():
     topo, desk, sigma2 = desk_instance(8)
     small = _BeamProblem(desk, AssociationMap.full(3, 6), np.ones(3), sigma2)
     G, _, spec = small._instantiate(small._build(True), 1.0)
-    assert isinstance(socp._newton_system(G, spec), socp._DenseNewton)
+    assert isinstance(own(G, spec), socp._DenseNewton)
     ch = random_channels(1, 15, 5, 5)  # the paper's 5 x 15 x 5 shape
     large = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
     for margin in (True, False):
         G, _, spec = large._instantiate(large._build(margin), 1.0)
-        newton = socp._newton_system(G, spec)
-        assert isinstance(newton, socp._BlockNewton)
-        assert newton.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
+        layout = socp.NewtonLayout(G, spec)
+        assert isinstance(layout.system(G), socp._BlockNewton)
+        assert layout.block.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
 
 
 def _bytes(res):
@@ -255,8 +256,8 @@ def test_a_shared_layout_solves_bit_for_bit_as_a_fresh_one(margin):
     for gamma in (1e-3, 1e-2, 1e-1):
         G, h, spec = prob._instantiate(template, gamma)
         assert np.array_equal(G.row, template.G.row)  # the template's pattern
-        shared = socp.solve_socp(c, G, h, spec, layout=template.layout)
-        fresh = socp.solve_socp(c, G, h, spec)
+        shared = socp.solve_socp(c, G, h, spec, template.layout)
+        fresh = socp.solve_socp(c, G, h, spec, socp.NewtonLayout(G, spec))
         assert (shared.status, shared.iterations, shared.obj) == \
             (fresh.status, fresh.iterations, fresh.obj)
         assert _bytes(shared) == _bytes(fresh)
@@ -273,9 +274,9 @@ def test_an_instance_keeps_the_template_pattern_and_layout(monkeypatch):
         built.append(len(G.val))
         return layout(G, spec)
 
-    def recorded_solve(c, G, h, spec, **kwargs):
-        solved.append((G, kwargs["layout"]))
-        return solve(c, G, h, spec, **kwargs)
+    def recorded_solve(c, G, h, spec, layout, **kwargs):
+        solved.append((G, layout))
+        return solve(c, G, h, spec, layout, **kwargs)
 
     monkeypatch.setattr(socp, "NewtonLayout", recorded_layout)
     monkeypatch.setattr(beamforming, "solve_socp", recorded_solve)
@@ -324,7 +325,7 @@ def test_newton_factor_reports_failure_without_raising(rng, newton):
     from test_socp import interior_point
     c, G, h, spec = program("desk8-full", True, 0.0)
     scal = socp._Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
-    solver = newton(G, spec)
+    solver = newton(coo(G), spec)
     assert solver.factor(scal)
     scal.eta = np.full(spec.nblocks, np.inf)
     scal.eta_b = scal.eta[spec.block_ids]
@@ -339,9 +340,9 @@ def test_nan_matrix_does_not_factor(factor):
 
 
 @pytest.mark.parametrize("newton", [dense, block])
-def test_nan_in_h_ends_the_solve_at_once(monkeypatch, newton):
+def test_nan_in_h_ends_the_solve_at_once(newton):
     c, G, h, spec = program("desk8-full", True, 0.5)
     h[0] = np.nan
-    res = solve(monkeypatch, newton, c, G, h, spec)
+    res = solve(newton, c, G, h, spec)
     assert res.status == "indeterminate"
     assert res.iterations <= 3

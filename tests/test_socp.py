@@ -11,6 +11,27 @@ from cran_maxmin.socp import (_FEASTOL, ConeSpec, CooMatrix, NewtonLayout, _Bloc
                                _BlockPattern, _DenseNewton, _Scaling, solve_socp)
 
 
+def coo(A):
+    """A dense matrix as the solver takes it: its nonzero entries, row-major."""
+    row, col = np.nonzero(A)
+    return CooMatrix(row, col, A[row, col], A.shape)
+
+
+def solve(c, G, h, dims, start=None):
+    """The solver on a dense or COO G and a ConeSpec or a list of cone
+    sizes, with a Newton layout of the program's own."""
+    spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
+    if not isinstance(G, CooMatrix):
+        G = coo(np.asarray(G, dtype=float))
+    return solve_socp(np.asarray(c, dtype=float), G, np.asarray(h, dtype=float), spec,
+                       NewtonLayout(G, spec), start=start)
+
+
+def interior(spec, u):
+    """Whether u lies in the interior of the cones of spec."""
+    return bool((u[spec.heads] > 0).all() and (spec.jdot(u, u) > 0).all())
+
+
 def interior_point(rng, spec, scale=1.0):
     u = rng.standard_normal(spec.m) * scale
     for start, d in zip(spec.heads, spec.dims):
@@ -33,7 +54,7 @@ class TestScaling:
             lam_z = sc.apply_w(z)
             lam_s = sc.apply_w_inv(s)
             np.testing.assert_allclose(lam_z, lam_s, rtol=1e-9, atol=1e-12)
-            assert spec.interior(lam_z)
+            assert interior(spec, lam_z)
 
     def test_nt_point_under_scale_mismatch(self, spec, rng):
         # s and z many orders apart, as near convergence
@@ -76,11 +97,11 @@ class TestMaxStep:
             d = rng.standard_normal(spec.m)
             a = spec.max_step(u, d, spec.jdot(u, u))
             if np.isfinite(a):
-                assert spec.interior(u + 0.999 * a * d)
-                assert not spec.interior(u + 1.001 * a * d)
+                assert interior(spec, u + 0.999 * a * d)
+                assert not interior(spec, u + 1.001 * a * d)
             else:
                 for t in (0.5, 5.0, 500.0):
-                    assert spec.interior(u + t * d)
+                    assert interior(spec, u + t * d)
 
     _sane = st.one_of(st.just(0.0), st.floats(1e-6, 3), st.floats(-3, -1e-6))
 
@@ -311,7 +332,7 @@ class TestBitExactKernels:
             spec = BIT_SPECS[2]
             G = rng.standard_normal((spec.m, 9)) * (rng.random((spec.m, 9)) < 0.7)
             G[0] = 1.0
-            G = CooMatrix.from_dense(G)
+            G = coo(G)
             newton = _BlockNewton(G, _BlockPattern(G, spec))
         else:
             _, G, _, spec = WARM_START_PROGRAMS[name]
@@ -334,7 +355,7 @@ class TestAnalyticPrograms:
         c = np.array([-1.0, 0, 0])
         G = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
         h = np.array([1.0, 0, 0])
-        res = solve_socp(c, G, h, [3])
+        res = solve(c, G, h, [3])
         assert res.status == "optimal"
         assert res.obj == pytest.approx(-1.0, abs=1e-7)
         assert np.linalg.norm(res.x[1:]) < 1e-5
@@ -345,7 +366,7 @@ class TestAnalyticPrograms:
         G = np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0],
                       [0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
         h = np.array([0.0, -3.0, -4.0, 1.0, 0.0, 0.0])
-        res = solve_socp(c, G, h, [3, 3])
+        res = solve(c, G, h, [3, 3])
         assert res.status == "optimal"
         assert res.obj == pytest.approx(4.0, abs=1e-6)
 
@@ -353,7 +374,7 @@ class TestAnalyticPrograms:
         c = np.array([1.0, 2.0])
         G = np.array([[-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
         h = np.array([-1.0, 0.0, 0.0])
-        res = solve_socp(c, G, h, [1, 1, 1])
+        res = solve(c, G, h, [1, 1, 1])
         assert res.status == "optimal"
         assert res.obj == pytest.approx(1.0, abs=1e-7)
         np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-6)
@@ -362,16 +383,12 @@ class TestAnalyticPrograms:
         # x >= 1 and -x >= 1 cannot hold
         G = np.array([[-1.0], [1.0]])
         h = np.array([-1.0, -1.0])
-        res = solve_socp(np.array([1.0]), G, h, [1, 1])
+        res = solve(np.array([1.0]), G, h, [1, 1])
         assert res.status == "primal_infeasible"
         # Farkas certificate: G'z = 0, h'z = -1, z in cone
         assert abs(res.z @ h + 1.0) < 1e-8
         assert abs(G.T @ res.z) < 1e-8
         assert (res.z >= -1e-10).all()
-
-    def test_dual_infeasible_detected(self):
-        res = solve_socp(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]), [1])
-        assert res.status == "dual_infeasible"
 
 
 def _warm_start_programs():
@@ -406,8 +423,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("name", WARM_START_PROGRAMS)
     def test_start_at_its_own_optimum_takes_fewer_iterations(self, name):
         c, G, h, spec = WARM_START_PROGRAMS[name]
-        cold = solve_socp(c, G, h, spec)
-        warm = solve_socp(c, G, h, spec, start=(cold.x, cold.s, cold.z))
+        cold = solve(c, G, h, spec)
+        warm = solve(c, G, h, spec, start=(cold.x, cold.s, cold.z))
         assert cold.status == warm.status == "optimal"
         assert abs(warm.obj - cold.obj) <= _FEASTOL
         assert warm.iterations < cold.iterations
@@ -415,7 +432,7 @@ class TestWarmStart:
     def test_start_of_another_shape_is_refused(self):
         c, G, h, spec = WARM_START_PROGRAMS["distance-to-unit-ball"]
         with pytest.raises(ValueError, match="start point"):
-            solve_socp(c, G, h, spec, start=(np.zeros(3), np.ones(5), np.ones(6)))
+            solve(c, G, h, spec, start=(np.zeros(3), np.ones(5), np.ones(6)))
 
 
 class TestRandomCertificates:
@@ -433,7 +450,7 @@ class TestRandomCertificates:
             # strictly feasible primal and dual by construction
             h = G @ rng.standard_normal(n) + interior_point(rng, spec)
             c = -G.T @ interior_point(rng, spec)
-            res = solve_socp(c, G, h, spec)
+            res = solve(c, G, h, spec)
             assert res.status == "optimal", (res.status, res.pres, res.dres)
             s = h - G @ res.x
             assert spec.jdot(s, s).min() > -1e-6
@@ -457,12 +474,12 @@ class TestRandomCertificates:
                 continue
             z0 = interior_point(rng, spec)
             z = z0 - G @ np.linalg.lstsq(G, z0, rcond=None)[0]
-            if not spec.interior(z):
+            if not interior(spec, z):
                 continue
             h = rng.standard_normal(spec.m)
             if h @ z >= -0.1:
                 h = h - (h @ z + 1.0) * z / (z @ z)
-            res = solve_socp(rng.standard_normal(n), G, h, spec)
+            res = solve(rng.standard_normal(n), G, h, spec)
             assert res.status == "primal_infeasible"
             zc = res.z
             assert abs(h @ zc + 1.0) < 1e-6
@@ -473,7 +490,7 @@ class TestRandomCertificates:
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        solve_socp(np.zeros(2), np.zeros((3, 2)), np.zeros(3), [2])  # m mismatch
+        solve(np.zeros(2), np.zeros((3, 2)), np.zeros(3), [2])  # m mismatch
     with pytest.raises(ValueError):
         ConeSpec([0, 2])
     with pytest.raises(ValueError):
