@@ -243,9 +243,28 @@ class _BeamProblem:
         return G._replace(val=val), h, template.spec
 
     def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None):
-        """solve_socp on the template at gamma, with the template's Newton layout."""
+        """solve_socp on the template at gamma, with the template's Newton
+        layout, each cone's rows of G and h divided by f, the largest
+        absolute entry of those rows outside column 0.  A positive factor
+        maps a cone onto itself, so the program and its optimum are those of
+        the template; the solver sees (x, s/f, z f), and the start and the
+        result are mapped accordingly.  Without it, rows that span many
+        orders of magnitude (a user a few metres from an RRH) stall probes."""
         G, h, spec = self._instantiate(template, gamma)
-        return solve_socp(c, G, h, spec, template.layout, start=start)
+        off = G.col != 0
+        big = np.zeros(spec.nblocks)
+        np.maximum.at(big, spec.block_ids[G.row[off]], np.abs(G.val[off]))
+        big[big == 0.0] = 1.0  # a cone with no such entry (a zero channel)
+        f = big[spec.block_ids]
+        if start is not None:
+            x, s, z = start
+            start = (x, s / f, z * f)
+        res = solve_socp(c, G._replace(val=G.val / f[G.row]), h / f, spec,
+                         template.layout, start=start)
+        if res.s is not None:
+            res.s = res.s * f
+        res.z = res.z / f
+        return res
 
     def zeros(self) -> BeamformerSet:
         return BeamformerSet.zeros(self.K, self.N, self.M)
