@@ -261,9 +261,7 @@ class _BeamProblem:
             start = (x, s / f, z * f)
         res = solve_socp(c, G._replace(val=G.val / f[G.row]), h / f, spec,
                          template.layout, start=start)
-        if res.s is not None:
-            res.s = res.s * f
-        res.z = res.z / f
+        res.s, res.z = res.s * f, res.z / f
         return res
 
     def zeros(self) -> BeamformerSet:
@@ -314,7 +312,7 @@ class _BeamProblem:
         res = self._solve(self._margin, gamma, c, start)
         if res.status == "optimal":
             self._warm = (gamma, (res.x, res.s, res.z))
-        margin = -res.obj if res.obj is not None else None
+        margin = -res.obj
         stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
         if res.status != "optimal":
             return FeasibilityOutcome("indeterminate", None, stats)
@@ -326,7 +324,10 @@ class _BeamProblem:
         return FeasibilityOutcome("infeasible", None, stats)
 
     def solve_power_min(self, gamma: float):
-        """Minimum-power beamformers at SINR target gamma; an infeasible one raises ValueError."""
+        """Minimum-power beamformers at SINR target gamma.  The solver
+        certifies no infeasibility: at an infeasible target it ends
+        indeterminate (after 10 to 100 iterations), which raises
+        SolverIndeterminate like any stall."""
         trivial = self._trivial(gamma)
         if trivial is not None:
             if trivial.beamformers is None:
@@ -338,8 +339,6 @@ class _BeamProblem:
         c[0] = 1.0
         res = self._solve(self._power, gamma, c)
         stats = SolverStats(res.status, res.iterations, None, res.pres, res.dres)
-        if res.status == "primal_infeasible":
-            raise ValueError(f"SINR target {gamma} is infeasible for this association")
         if res.status != "optimal":
             raise SolverIndeterminate(
                 f"power minimization did not converge (status {res.status})", stats)
@@ -447,8 +446,6 @@ def tighten_max_min(ch: ChannelState, assoc: AssociationMap, gamma: float,
     for target in (gamma, gamma * (1.0 - 1e-6)):
         try:
             return prob.solve_power_min(target)
-        except ValueError:
-            statuses.append("primal_infeasible")
         except SolverIndeterminate as exc:
             statuses.append(exc.stats.status)
     _log.warning("power-min at gamma=%r failed (%s), association %s: "
@@ -475,5 +472,5 @@ def solve_power_min(ch: ChannelState, assoc: AssociationMap, gamma_target: float
                     power_cap_w, noise_power_w: float) -> BeamformerSet:
     """Beamformers meeting SINR target gamma_target with minimum total power
     (`_BeamProblem.solve_power_min`).  The caller must pass a feasible
-    target; an infeasible one raises ValueError (contract violation)."""
+    target: an infeasible one raises SolverIndeterminate, as a stall does."""
     return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).solve_power_min(gamma_target)

@@ -8,17 +8,20 @@ where K is a Cartesian product of second-order (Lorentz) cones
 Q_d = {(u0, u_) in R x R^(d-1) : u0 >= ||u_||}; a cone of dimension 1 is the
 nonnegative ray.  The dual is  maximize -h'z  s.t.  G'z + c = 0, z in K.
 
-The method is the homogeneous self-dual embedding with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector step.  It supports nothing beyond the
-form above: no free rows, no equality constraints.  Its stopping rule is
-fixed by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
+The method is an infeasible-start primal-dual path-following loop (like
+CVXOPT's `coneqp` with no quadratic term) with Nesterov-Todd scaling and a
+Mehrotra predictor-corrector step.  It certifies an optimum and reports
+anything else as indeterminate: it looks for no certificate of an
+infeasible or unbounded program.  It supports nothing beyond the form
+above: no free rows, no equality constraints.  Its stopping rule is fixed
+by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
 
 G is passed as a `CooMatrix`: its entries, sorted row-major, the form the
 beamforming templates are built in.  The cones are a `ConeSpec`.
 
 G must have full column rank (every variable must enter some cone row);
 the reduced Newton matrix G' W^-2 G is then positive definite, and one
-factorization per iteration serves all three of its solves.  It is solved
+factorization per iteration serves both of its solves.  It is solved
 one of two ways, picked from the shape of G by the `NewtonLayout` the
 caller passes: programs under `_BLOCK_MIN_COLS` variables densify G, form
 the matrix from W^-1 G and factor it whole; larger ones whose tail rows
@@ -485,21 +488,20 @@ class NewtonLayout:
 class SocpResult:
     """Outcome of a cone-program solve.
 
-    For status "optimal", x/s/z are the de-homogenized primal-dual solution
-    and obj = c'x.  For "primal_infeasible", z is the Farkas certificate
-    (G'z ~ 0, h'z = -1).  "indeterminate" means the iteration limit or a
-    numerical stall was hit before either certificate was established.  An
-    unbounded program is not looked for: the package poses none (the
-    power-cone heads cap the margin, and power is never negative).
-    iterations counts the interior-point iterations run, also when the
-    result is an earlier, best iterate accepted with relaxed tolerances.
+    For status "optimal", x/s/z are a primal-dual solution and obj = c'x;
+    for "indeterminate" (the iteration limit or a numerical stall came
+    first) they are the last iterate's.  Neither an infeasible nor an
+    unbounded program is looked for: the package poses none, and a power-min
+    at an infeasible target ends indeterminate.  iterations counts the
+    interior-point iterations run, also when the result is an earlier, best
+    iterate accepted with relaxed tolerances.
     """
 
     status: str
-    x: np.ndarray | None
-    s: np.ndarray | None
-    z: np.ndarray | None
-    obj: float | None
+    x: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
+    obj: float
     iterations: int
     pres: float
     dres: float
@@ -511,12 +513,16 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
     """Solve the program (c, G, h, K), with the Newton systems of layout,
     which must have been built from a G with this one's sparsity pattern.
 
+    Each iteration steps along the Newton direction of the residuals
+    rx = G'z + c and rz = G x + s - h and of the complementarity s o z, from
+    an interior (s, z) that need not meet them (Vandenberghe, 2010).
+
     start, when given, is the (x, s, z) of an optimal solve of a program of
     the same shape, say at a nearby SINR target.  The iteration then starts
-    at lambda (x, s, z) + (1 - lambda) (0, e, e) with tau = kappa = 1, with
-    lambda = _WARM_WEIGHT: interior, since e is, and close to that optimum
-    (the warm start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).
-    Without it, the start is (0, e, e)."""
+    at lambda (x, s, z) + (1 - lambda) (0, e, e), with lambda =
+    _WARM_WEIGHT: interior, since e is, and close to that optimum (the warm
+    start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).  Without
+    it, the start is (0, e, e)."""
     m, n = G.shape
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
@@ -533,110 +539,77 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
         x = _WARM_WEIGHT * x0
         sz = _WARM_WEIGHT * np.array((s0, z0)) + (1.0 - _WARM_WEIGHT) * e
     s, z = sz  # views: a step on sz moves both
-    tau, kappa = 1.0, 1.0
     normc = max(1.0, float(np.linalg.norm(c)))
     normh = max(1.0, float(np.linalg.norm(h)))
 
     # keep the best iterate and accept it with relaxed tolerances if the
     # strict test never fires: pres falls with each step, but dres can stall
-    # above _FEASTOL once W is ill-conditioned (13 of the 211 optimal solves
-    # of desk trials 0-2, none of paper trial 0's 290)
-    mu0 = (spec.nblocks + 1.0) / (spec.deg + 1.0)
+    # above _FEASTOL once W is ill-conditioned
     best = None
     best_score = np.inf
 
     pres = dres = relgap = np.inf
     it = 0
     for it in range(_MAX_ITERS):
-        Gtz = newton.GT @ z
+        rx = newton.GT @ z + c
+        rz = newton.G @ x + s - h
         cx = float(c @ x)
-        hz = float(h @ z)
-        rx = Gtz + c * tau
-        rz = newton.G @ x + s - h * tau
-        rtau = cx + hz + kappa
         gap = float(s @ z)
 
-        pres = float(np.linalg.norm(rz)) / tau / normh
-        dres = float(np.linalg.norm(rx)) / tau / normc
-        pcost = cx / tau
-        agap = gap / (tau * tau)
-        relgap = agap / max(1.0, abs(pcost), abs(hz / tau))
-        if pres <= _FEASTOL and dres <= _FEASTOL and (agap <= _ABSTOL or relgap <= _RELTOL):
-            return SocpResult("optimal", x / tau, s / tau, z / tau, pcost,
-                              it, pres, dres, relgap)
-        if hz < 0.0 and float(np.linalg.norm(Gtz)) / (-hz) / normc <= _FEASTOL:
-            return SocpResult("primal_infeasible", None, None, z / (-hz), None,
-                              it, pres, dres, relgap)
+        pres = float(np.linalg.norm(rz)) / normh
+        dres = float(np.linalg.norm(rx)) / normc
+        relgap = gap / max(1.0, abs(cx), abs(float(h @ z)))
+        if pres <= _FEASTOL and dres <= _FEASTOL and (gap <= _ABSTOL or relgap <= _RELTOL):
+            return SocpResult("optimal", x, s, z, cx, it, pres, dres, relgap)
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
-            best = (x / tau, s / tau, z / tau, pcost, pres, dres, relgap)
+            best = (x.copy(), s.copy(), z.copy(), cx, pres, dres, relgap)
 
         try:
             scal = _Scaling(spec, s, z)
         except LinAlgError:
             break
         lam = scal.lam
-        mu = (gap + tau * kappa) / (spec.deg + 1)
-        if mu <= 1e-13 * mu0:
+        mu = gap / spec.deg
+        if mu <= 0.5e-13:  # 1e-13 of the standard start's mu
             break
 
         if not newton.factor(scal):
             break
 
-        x1, z1 = newton.solve(-c, h)
-        den_tau = float(c @ x1 + h @ z1) - kappa / tau
-
         lamlam = spec.jprod(lam, lam)
 
-        def direction(ds, dtk, damp):
+        def direction(ds, damp):
             vs = scal.lam_div(ds)
             brz = -damp * rz
-            x2, z2 = newton.solve(-damp * rx, brz - scal.apply_w(vs))
-            dtau = (-damp * rtau - float(c @ x2 + h @ z2) - dtk / tau) / den_tau
-            dx = x2 + dtau * x1
-            dz = z2 + dtau * z1
-            # Delta s from the linearized primal equation
-            # G dx + ds - h dtau = -damp rz: W (vs - W dz) meets it only up
-            # to W's condition number, which grows as mu falls
-            dsz = np.array((brz - newton.G @ dx + h * dtau, dz))
-            dkappa = (dtk - kappa * dtau) / tau
-            return dx, dsz, dtau, dkappa, vs
-
-        def boundary_step(dsz, dtau, dkappa):
-            alpha = spec.max_step(sz, dsz, scal.uu)
-            if dtau < 0.0:
-                alpha = min(alpha, -tau / dtau)
-            if dkappa < 0.0:
-                alpha = min(alpha, -kappa / dkappa)
-            return alpha
+            dx, dz = newton.solve(-damp * rx, brz - scal.apply_w(vs))
+            # Delta s from the linearized primal equation G dx + ds = -damp rz:
+            # W (vs - W dz) meets it only up to W's condition number, which
+            # grows as mu falls
+            dsz = np.array((brz - newton.G @ dx, dz))
+            return dx, dsz, vs
 
         # predictor
-        _, dsza, dtaua, dkappaa, vsa = direction(-lamlam, -tau * kappa, 1.0)
-        alpha = min(1.0, boundary_step(dsza, dtaua, dkappaa))
+        _, dsza, vsa = direction(-lamlam, 1.0)
+        alpha = min(1.0, spec.max_step(sz, dsza, scal.uu))
         s_aff, z_aff = sz + alpha * dsza
-        mu_aff = (float(s_aff @ z_aff)
-                  + (tau + alpha * dtaua) * (kappa + alpha * dkappaa)) / (spec.deg + 1)
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        sigma = min(1.0, max(0.0, float(s_aff @ z_aff) / spec.deg / mu)) ** 3
 
         # corrector; Mehrotra's second-order term takes the scaled steps from
         # complementarity, W^-1 Delta s = vs - W Delta z
         wdza = scal.apply_w(dsza[1])
-        ds = -lamlam - spec.jprod(vsa - wdza, wdza) + sigma * mu * e
-        dtk = -tau * kappa - dtaua * dkappaa + sigma * mu
-        dx, dsz, dtau, dkappa, _ = direction(ds, dtk, 1.0 - sigma)
+        dx, dsz, _ = direction(-lamlam - spec.jprod(vsa - wdza, wdza) + sigma * mu * e,
+                               1.0 - sigma)
 
-        alpha = min(1.0, _STEP * boundary_step(dsz, dtau, dkappa))
+        alpha = min(1.0, _STEP * spec.max_step(sz, dsz, scal.uu))
         if alpha < _MIN_STEP:
             break
 
         x += alpha * dx
         sz += alpha * dsz
-        tau += alpha * dtau
-        kappa += alpha * dkappa
 
     if best is not None and best_score <= 1e-6:
         bx, bs, bz, bobj, bpres, bdres, brelgap = best
         return SocpResult("optimal", bx, bs, bz, bobj, it + 1, bpres, bdres, brelgap)
-    return SocpResult("indeterminate", x / tau, s / tau, z / tau, float(c @ x) / tau,
-                      it + 1, pres, dres, relgap)
+    return SocpResult("indeterminate", x, s, z, float(c @ x), it + 1, pres, dres, relgap)

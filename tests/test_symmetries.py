@@ -14,12 +14,14 @@ solver: each transform maps the problem onto one with the same optimum.
   margin search takes another path and each value lands elsewhere within
   the search's width: bound 2 bisection_rel_tol.
 
-Trial 2's first probe, at the MRT bound, is on the edge of a stall.  It
-stalls when P and sigma^2 are scaled down (most c of 0.3 and below), under
-13 of the 720 user permutations and under about 1 in 70 random phase
-draws; the fixed draws here miss the last two.  The strict xfails
-`test_power_scaled_down_stalls_on_trial_2` and
-`test_a_user_swap_stalls_on_trial_2` keep it in view.
+Trial 2's first probe, at the MRT bound, used to stall: when P and sigma^2
+were scaled down (most c of 0.3 and below), under 13 of the 720 user
+permutations and under about 1 in 70 random phase draws.  Its cones' rows
+span many orders of magnitude (a user 6.6 m from an RRH, link gains over
+82 dB); since each cone's rows are scaled to unit size before the solve,
+every one of those draws decides.  `test_power_scaled_down_on_trial_2` and
+`test_user_permutation_of_trial_2`, over the 13 permutations, keep it in
+view.
 """
 
 from functools import lru_cache
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cran_maxmin.beamforming import SolverIndeterminate, SolverTolerances, max_min_value
+from cran_maxmin.beamforming import SolverTolerances, max_min_value
 from cran_maxmin.harness import ExperimentConfig, draw_trial
 from cran_maxmin.model import AssociationMap, ChannelState
 
@@ -109,24 +111,30 @@ def test_channel_and_noise_amplitude_scaling(trial, c):
 @checked
 @given(trials, scales)
 def test_power_and_noise_scaling(trial, c):
-    assume(not (trial == 2 and c < 1.0))  # the stall below
     h, caps, noise, _ = instance(trial)
     assert moved(trial, h, c * caps, c * noise) <= SEARCH
 
 
-@pytest.mark.xfail(raises=SolverIndeterminate, strict=True,
-                   reason="the first probe, at the MRT bound, stalls (ROADMAP item 1)")
-def test_power_scaled_down_stalls_on_trial_2():
+def test_power_scaled_down_on_trial_2():
     # a user of trial 2 is 6.6 m from an RRH, and its link gains span 82 dB;
-    # at c = 0.1 the probe at gamma = 3.7e6 ends indeterminate, at c = 1
-    # the max-min solves
+    # at c = 0.1 the probe at gamma = 3.7e6 ended indeterminate before the
+    # per-cone scaling
     h, caps, noise, _ = instance(2)
     assert moved(2, h, 0.1 * caps, 0.1 * noise) <= SEARCH
 
 
-@pytest.mark.xfail(raises=SolverIndeterminate, strict=True,
-                   reason="the first probe, at the MRT bound, stalls (ROADMAP item 1)")
-def test_a_user_swap_stalls_on_trial_2():
-    # swapping users 2 and 3 changes only the rounding of the cone program
+# the user permutations of trial 2 whose max-min stalled before the per-cone
+# scaling, found by enumerating all 720; swapping users 2 and 3 changes only
+# the rounding of the cone program
+STALLED_PERMUTATIONS = [
+    (0, 1, 3, 2, 4, 5), (0, 1, 4, 5, 3, 2), (0, 2, 1, 5, 4, 3), (0, 4, 1, 3, 5, 2),
+    (0, 4, 2, 3, 5, 1), (0, 5, 1, 3, 4, 2), (1, 0, 2, 5, 4, 3), (2, 3, 4, 1, 0, 5),
+    (3, 5, 4, 1, 0, 2), (4, 2, 0, 5, 1, 3), (5, 1, 3, 4, 2, 0), (5, 1, 4, 3, 0, 2),
+    (5, 2, 3, 4, 0, 1),
+]
+
+
+@pytest.mark.parametrize("perm", STALLED_PERMUTATIONS, ids=lambda p: "".join(map(str, p)))
+def test_user_permutation_of_trial_2(perm):
     h, caps, noise, _ = instance(2)
-    assert moved(2, h[[0, 1, 3, 2, 4, 5]], caps, noise) <= EXACT
+    assert moved(2, h[list(perm)], caps, noise) <= EXACT
