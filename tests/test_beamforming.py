@@ -667,6 +667,15 @@ class TestTrivialCases:
                 call()
 
 
+def test_user_with_a_zero_channel_gets_a_zero_value():
+    # that user's SINR cone has no entry outside the margin column, so its
+    # rows keep the scale they have
+    h = random_channels(3, 3, 2, 2).h.copy()
+    h[1] = 0.0
+    gamma, _ = max_min_value(ChannelState(h), AssociationMap.full(2, 3), [1.0, 1.0], 1.0)
+    assert 0.0 <= gamma < 1e-12
+
+
 def test_user_next_to_an_rrh_is_decided():
     # configs/paper.json with seed 9, trial 0: 1 m guard, nearest user 1.3 m
     # from an RRH.  The probe at 1e-5 of the MRT bound once ended

@@ -242,7 +242,7 @@ def test_path_follows_problem_size():
 
 
 def _bytes(res):
-    return [None if a is None else a.tobytes() for a in (res.x, res.s, res.z)]
+    return [a.tobytes() for a in (res.x, res.s, res.z)]
 
 
 @pytest.mark.parametrize("margin", [True, False], ids=["margin", "power"])
