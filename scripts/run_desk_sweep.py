@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Desk-scale sweep (CI-sized): 3 RRHs x 2 antennas, 6 users, 20 trials.
 
-Writes results_desk.csv next to the repo root.  Takes about 5 s on two
+Writes results_desk.csv next to the repo root.  Takes about 3 s on two
 cores (one BLAS thread per process, 2-vCPU virtual machine; README has the
 measured figures).
 """

@@ -10,11 +10,13 @@ nonnegative ray.  The dual is  maximize -h'z  s.t.  G'z + c = 0, z in K.
 
 The method is an infeasible-start primal-dual path-following loop (like
 CVXOPT's `coneqp` with no quadratic term) with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  It certifies an optimum and reports
-anything else as indeterminate: it looks for no certificate of an
-infeasible or unbounded program.  It supports nothing beyond the form
-above: no free rows, no equality constraints.  Its stopping rule is fixed
-by the constants _FEASTOL, _ABSTOL, _RELTOL and _MAX_ITERS.
+Mehrotra predictor-corrector step.  It reports an optimum only at an
+iterate that passes its strict stopping test (residuals within _FEASTOL,
+gap within _ABSTOL or _RELTOL), and anything else as indeterminate at its
+last iterate: the iteration limit _MAX_ITERS, a stalled step, or a Newton
+matrix that fails to factor.  It looks for no certificate of an infeasible
+or unbounded program.  It supports nothing beyond the form above: no free
+rows, no equality constraints.
 
 G is passed as a `CooMatrix`: its entries, sorted row-major, the form the
 beamforming templates are built in.  The cones are a `ConeSpec`.
@@ -245,21 +247,14 @@ class _Scaling:
 _BLOCK_MIN_COLS = 200
 
 
-def _jittered(factor, A: np.ndarray):
-    """factor(A + jitter I) for the first jitter of 0, 1e-12 and 1e-11 times
-    the largest diagonal entry that factors; None if none does.  A factor
-    with a non-finite diagonal fails: LAPACK passes NaN through silently."""
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            L = factor(A + jitter * np.eye(A.shape[-1]) if jitter else A)
-            if not np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all():
-                raise LinAlgError("non-finite factor")
-            return L
-        except LinAlgError:
-            jitter = max(10.0 * jitter,
-                         1e-12 * float(np.diagonal(A, axis1=-2, axis2=-1).max()))
-    return None
+def _cholesky(factor, A: np.ndarray):
+    """factor(A), or None if it fails.  A factor with a non-finite diagonal
+    fails: LAPACK passes NaN through silently."""
+    try:
+        L = factor(A)
+    except LinAlgError:
+        return None
+    return L if np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all() else None
 
 
 def _potrf(A: np.ndarray) -> np.ndarray:
@@ -281,7 +276,7 @@ class _DenseNewton:
     def factor(self, scal: _Scaling) -> bool:
         self.scal = scal
         self.Gtil = scal.apply_w_inv_mat(self.G)
-        self.L = _jittered(_potrf, self.Gtil.T @ self.Gtil)
+        self.L = _cholesky(_potrf, self.Gtil.T @ self.Gtil)
         return self.L is not None
 
     def solve(self, bx: np.ndarray, bz: np.ndarray):
@@ -336,7 +331,7 @@ class _BlockNewton:
         einv = 1.0 / scal.eta
         Rs = self.R * einv[self.rcone][:, :, None]
         D = np.matmul(Rs.transpose(0, 2, 1), Rs) + self.pad
-        L = _jittered(np.linalg.cholesky, D)
+        L = _cholesky(np.linalg.cholesky, D)
         if L is None:
             return False
         # a triangular inverse per block costs a third of numpy's batched LU
@@ -488,13 +483,13 @@ class NewtonLayout:
 class SocpResult:
     """Outcome of a cone-program solve.
 
-    For status "optimal", x/s/z are a primal-dual solution and obj = c'x;
-    for "indeterminate" (the iteration limit or a numerical stall came
-    first) they are the last iterate's.  Neither an infeasible nor an
-    unbounded program is looked for: the package poses none, and a power-min
-    at an infeasible target ends indeterminate.  iterations counts the
-    interior-point iterations run, also when the result is an earlier, best
-    iterate accepted with relaxed tolerances.
+    Status "optimal" means that x/s/z passed the strict stopping test and
+    obj = c'x.  Status "indeterminate" means the iteration limit, a stalled
+    step or a failed factorization of the Newton matrix came first; x/s/z
+    are then the last iterate's, and pres, dres and relgap its residuals.
+    Neither an infeasible nor an unbounded program is looked for: the
+    package poses none, and a power-min at an infeasible target ends
+    indeterminate.  iterations counts the interior-point iterations run.
     """
 
     status: str
@@ -542,12 +537,6 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
     normc = max(1.0, float(np.linalg.norm(c)))
     normh = max(1.0, float(np.linalg.norm(h)))
 
-    # keep the best iterate and accept it with relaxed tolerances if the
-    # strict test never fires: pres falls with each step, but dres can stall
-    # above _FEASTOL once W is ill-conditioned
-    best = None
-    best_score = np.inf
-
     pres = dres = relgap = np.inf
     it = 0
     for it in range(_MAX_ITERS):
@@ -561,10 +550,6 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
         relgap = gap / max(1.0, abs(cx), abs(float(h @ z)))
         if pres <= _FEASTOL and dres <= _FEASTOL and (gap <= _ABSTOL or relgap <= _RELTOL):
             return SocpResult("optimal", x, s, z, cx, it, pres, dres, relgap)
-        score = max(pres, dres, relgap)
-        if score < best_score:
-            best_score = score
-            best = (x.copy(), s.copy(), z.copy(), cx, pres, dres, relgap)
 
         try:
             scal = _Scaling(spec, s, z)
@@ -609,7 +594,4 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
         x += alpha * dx
         sz += alpha * dsz
 
-    if best is not None and best_score <= 1e-6:
-        bx, bs, bz, bobj, bpres, bdres, brelgap = best
-        return SocpResult("optimal", bx, bs, bz, bobj, it + 1, bpres, bdres, brelgap)
     return SocpResult("indeterminate", x, s, z, float(c @ x), it + 1, pres, dres, relgap)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
-from cran_maxmin import beamforming
+from cran_maxmin import association, beamforming, harness, socp
 from cran_maxmin.association import nearest_rrh_association
 from cran_maxmin.beamforming import (
     SolverIndeterminate,
@@ -523,6 +523,49 @@ class TestPowerMinFallback:
         assert repr(gamma) in message
         assert "indeterminate, indeterminate" in message
         assert str([sorted(s) for s in assoc.omega]) in message
+
+
+# desk trials 7 and 11, and a bench1 association of each whose tightening
+# power-min stalls at gamma (dual residual rising over its last iterations)
+STALLED_TIGHTENINGS = {
+    7: [[0, 1, 2, 5], [0, 1, 2, 4, 5], [0, 2, 3, 4, 5]],
+    11: [[0, 2, 3, 4, 5], [1, 2, 3, 4, 5], [0, 2, 3, 5]],
+}
+
+
+@pytest.mark.parametrize("trial", sorted(STALLED_TIGHTENINGS))
+def test_stalled_tightening_is_retried_not_relaxed(monkeypatch, caplog, trial):
+    # whole trials, since a lone run_algorithm1 does not share the sweep's
+    # cache and may not reach the same gamma.  No solve may end "optimal"
+    # outside the strict test; the stalled tightening ends indeterminate and
+    # its retry at gamma (1 - 1e-6) tightens the beamformers
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+    results, tightened = [], {}
+    solve, tighten = beamforming.solve_socp, association.tighten_max_min
+
+    def recorded_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    def recorded_tighten(ch, assoc, gamma, *args):
+        bf = tighten(ch, assoc, gamma, *args)
+        tightened[assoc.omega] = (ch, gamma, bf)
+        return bf
+
+    monkeypatch.setattr(beamforming, "solve_socp", recorded_solve)
+    monkeypatch.setattr(association, "tighten_max_min", recorded_tighten)
+    with caplog.at_level(logging.WARNING):
+        harness._run_trial(cfg, trial)
+    assert not caplog.records
+    for res in results:
+        if res.status == "optimal":
+            assert res.pres <= socp._FEASTOL and res.dres <= socp._FEASTOL
+            assert res.s @ res.z <= socp._ABSTOL or res.relgap <= socp._RELTOL
+    ch, gamma, bf = tightened[tuple(map(frozenset, STALLED_TIGHTENINGS[trial]))]
+    caps = np.asarray(cfg.power_caps_w())
+    assert (compute_all_sinrs(ch, bf, cfg.noise_power_w()) >= gamma * (1 - 2e-6)).all()
+    assert (per_rrh_power(bf) <= caps * (1 + 1e-9)).all()
 
 
 class TestSolvePowerMin:

@@ -98,14 +98,6 @@ def own(G, spec):
     return socp.NewtonLayout(G, spec).system(G)
 
 
-def relaxed(res):
-    """Accepted only as the best iterate, under the tolerances in force
-    (abstol < reltol, so the strict gap test reduces to relgap <= reltol)."""
-    return res.status == "optimal" and not (
-        res.pres <= socp._FEASTOL and res.dres <= socp._FEASTOL
-        and res.relgap <= socp._RELTOL)
-
-
 def test_reference_matches_dense_gram(rng):
     from test_socp import interior_point
     c, G, h, spec = program("desk8-full", True, 0.5)
@@ -158,25 +150,24 @@ def test_block_directions_solve_the_exact_system(monkeypatch, name, margin, shar
         assert res_block.obj == pytest.approx(res_dense.obj, rel=1e-6, abs=1e-7)
 
 
-def test_no_case_needs_the_relaxed_rule():
-    # every case passes the strict test, on either Newton path
+def test_every_case_ends_optimal_on_both_paths():
     programs = [program(*case) for case in CASES]
-    needs = [(case, newton.__name__) for case, p in zip(CASES, programs)
-             for newton in (dense, block) if relaxed(solve(newton, *p))]
-    assert needs == []
+    ends = [(case, newton.__name__) for case, p in zip(CASES, programs)
+            for newton in (dense, block) if solve(newton, *p).status != "optimal"]
+    assert ends == []
 
 
 @pytest.mark.parametrize("force_block", [False, True])
-@pytest.mark.parametrize("name,share,ends_relaxed", [
+@pytest.mark.parametrize("name,share,ends_indeterminate", [
     ("desk8-full", 0.0, True), ("desk8-full", 0.0, False),
     ("users-exceed-antennas", 0.5, False)])
 def test_iterations_count_every_newton_step(monkeypatch, force_block, name, share,
-                                            ends_relaxed):
-    # whether the solve passes the strict test or returns the relaxed best
-    # iterate, each iteration it ran built one scaling; a feasibility
-    # tolerance of 0 keeps the strict test from firing
+                                            ends_indeterminate):
+    # whether the solve passes the strict test or ends indeterminate, each
+    # iteration it ran built one scaling; a feasibility tolerance of 0 keeps
+    # the strict test from firing
     c, G, h, spec = program(name, True, share)
-    if ends_relaxed:
+    if ends_indeterminate:
         monkeypatch.setattr(socp, "_FEASTOL", 0.0)
     built = []
     scaling = socp._Scaling.__init__
@@ -187,7 +178,7 @@ def test_iterations_count_every_newton_step(monkeypatch, force_block, name, shar
 
     monkeypatch.setattr(socp._Scaling, "__init__", counted)
     res = solve(block if force_block else own, c, G, h, spec)
-    assert res.status == "optimal" and relaxed(res) == ends_relaxed
+    assert res.status == ("indeterminate" if ends_indeterminate else "optimal")
     assert res.iterations == len(built)
 
 
@@ -223,7 +214,7 @@ def test_directions_meet_the_primal_equation(config):
     finally:
         sys.setprofile(profile)
     assert max(misses) <= 1e-12
-    assert res.status == "optimal" and not relaxed(res)
+    assert res.status == "optimal"
     assert len(misses) == 2 * res.iterations  # a predictor and a corrector each
 
 
@@ -297,30 +288,24 @@ INDEFINITE = np.diag([1.0, -1.0, 2.0])
 
 @pytest.mark.parametrize("factor", [socp._potrf, np.linalg.cholesky],
                          ids=["dense-dpotrf", "block-cholesky"])
-def test_singular_newton_matrix_factors_at_the_first_jitter(factor):
-    with pytest.raises(np.linalg.LinAlgError):
-        factor(SINGULAR)
-    jitter = 1e-12 * 2.0  # times the largest diagonal entry
-    assert np.array_equal(socp._jittered(factor, SINGULAR),
-                          factor(SINGULAR + jitter * np.eye(3)))
+def test_indefinite_matrix_does_not_factor(factor):
+    assert socp._cholesky(factor, INDEFINITE) is None
 
 
-def test_block_batch_jitter_follows_the_largest_diagonal_entry():
-    batch = np.array([4.0 * np.eye(3), SINGULAR])
-    assert np.array_equal(socp._jittered(np.linalg.cholesky, batch),
-                          np.linalg.cholesky(batch + 1e-12 * 4.0 * np.eye(3)))
-
-
-@pytest.mark.parametrize("factor", [socp._potrf, np.linalg.cholesky],
-                         ids=["dense-dpotrf", "block-cholesky"])
-def test_indefinite_matrix_factors_at_no_jitter(factor):
-    assert socp._jittered(factor, INDEFINITE) is None
+@pytest.mark.parametrize("newton", [dense, block])
+def test_singular_newton_matrix_ends_the_solve_indeterminate(monkeypatch, newton):
+    # the first Newton matrix factored is SINGULAR: its factorization fails
+    # and is not retried, so factor() returns False and the solve ends
+    p = program("desk8-full", True, 0.5)
+    cholesky = socp._cholesky
+    monkeypatch.setattr(socp, "_cholesky", lambda factor, A: cholesky(factor, SINGULAR))
+    res = solve(newton, *p)
+    assert res.status == "indeterminate" and res.iterations == 1
 
 
 @pytest.mark.parametrize("newton", [dense, block])
 def test_newton_factor_reports_failure_without_raising(rng, newton):
-    # a scaling whose eta overflowed makes the Newton matrix zero, which no
-    # jitter relative to its (zero) diagonal can make positive definite; at
+    # a scaling whose eta overflowed makes the Newton matrix zero; at
     # gamma = 0 every block has one column, so the block path has no padding
     from test_socp import interior_point
     c, G, h, spec = program("desk8-full", True, 0.0)
@@ -336,7 +321,7 @@ def test_newton_factor_reports_failure_without_raising(rng, newton):
                          ids=["dense-dpotrf", "block-cholesky"])
 def test_nan_matrix_does_not_factor(factor):
     # LAPACK returns a NaN factor for a NaN matrix without reporting an error
-    assert socp._jittered(factor, np.full((3, 3), np.nan)) is None
+    assert socp._cholesky(factor, np.full((3, 3), np.nan)) is None
 
 
 @pytest.mark.parametrize("newton", [dense, block])
