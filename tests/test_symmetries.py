@@ -1,9 +1,14 @@
 """The max-min value is unchanged by the problem's exact symmetries.
 
-Each test maps the full association of a desk trial (`configs/desk.json`,
-trials 0-9) through one transform drawn by Hypothesis and compares
-`max_min_value` with the untransformed value.  None of it trusts the cone
-solver: each transform maps the problem onto one with the same optimum.
+Each test maps an instance through one transform drawn by Hypothesis and
+compares `max_min_value` with the untransformed value.  The instances are
+the full association of desk trials 0-9 (`configs/desk.json`), and paper
+trials 0-1 (`configs/paper.json`), each on the full association and with
+every user on its two strongest RRHs; both paper associations are solved on
+the block Newton path.  The association of a paper instance is recomputed
+from the transformed channels, so it moves with the transform.  None of it
+trusts the cone solver: each transform maps the problem onto one with the
+same optimum.
 
 - Permuting users, permuting RRHs together with their power caps, a phase
   on each user's channels, a unitary on each RRH's antennas, and
@@ -36,9 +41,14 @@ from cran_maxmin.beamforming import SolverTolerances, max_min_value
 from cran_maxmin.harness import ExperimentConfig, draw_trial
 from cran_maxmin.model import AssociationMap, ChannelState
 
-DESK = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DESK = ExperimentConfig.from_json(CONFIGS / "desk.json")
 K, N, M = DESK.n_users, DESK.n_rrh, DESK.n_antennas
 FULL = AssociationMap.full(N, K)
+PAPER = ExperimentConfig.from_json(CONFIGS / "paper.json")
+PK, PN, PM = PAPER.n_users, PAPER.n_rrh, PAPER.n_antennas
+# (trial, association rule) of the paper instances
+PAPER_CASES = [(trial, rule) for trial in (0, 1) for rule in ("full", "two strongest")]
 EXACT = 1e-6
 SEARCH = 2 * SolverTolerances().bisection_rel_tol
 
@@ -63,10 +73,10 @@ def moved(trial, h, caps, noise):
     return abs(max_min_value(ChannelState(h), FULL, caps, noise)[0] / value - 1.0)
 
 
-def unitary(draw):
-    """An M x M unitary: the Q of a QR factorization of a drawn matrix."""
-    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * M * M, max_size=2 * M * M))
-    A = np.array(entries).view(complex).reshape(M, M)
+def unitary(draw, m=M):
+    """An m x m unitary: the Q of a QR factorization of a drawn matrix."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * m * m, max_size=2 * m * m))
+    A = np.array(entries).view(complex).reshape(m, m)
     assume(abs(np.linalg.det(A)) > 1e-3)
     return np.linalg.qr(A)[0]
 
@@ -138,3 +148,80 @@ STALLED_PERMUTATIONS = [
 def test_user_permutation_of_trial_2(perm):
     h, caps, noise, _ = instance(2)
     assert moved(2, h[list(perm)], caps, noise) <= EXACT
+
+
+paper_cases = st.integers(0, len(PAPER_CASES) - 1)
+paper_checked = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+def paper_association(h, rule):
+    """The full association, or each user on its two strongest RRHs by
+    channel norm."""
+    if rule == "full":
+        return AssociationMap.full(PN, PK)
+    strongest = np.argsort(-np.linalg.norm(h, axis=2), axis=1)[:, :2]
+    alpha = np.zeros((PK, PN), dtype=bool)
+    np.put_along_axis(alpha, strongest, True, axis=1)
+    return AssociationMap.from_indicator(alpha)
+
+
+@lru_cache(maxsize=None)
+def paper_instance(case):
+    """(h, caps, noise power, max-min value) of a paper instance."""
+    trial, rule = PAPER_CASES[case]
+    _, ch = draw_trial(PAPER, trial)
+    caps, noise = np.array(PAPER.power_caps_w()), PAPER.noise_power_w()
+    return ch.h, caps, noise, max_min_value(ch, paper_association(ch.h, rule), caps, noise)[0]
+
+
+def paper_moved(case, h, caps, noise):
+    """Relative move of a paper instance's value under a transform."""
+    value = paper_instance(case)[3]
+    assert value > 0.0
+    assoc = paper_association(h, PAPER_CASES[case][1])
+    return abs(max_min_value(ChannelState(h), assoc, caps, noise)[0] / value - 1.0)
+
+
+@paper_checked
+@given(paper_cases, st.permutations(range(PK)))
+def test_paper_user_permutation(case, perm):
+    h, caps, noise, _ = paper_instance(case)
+    assert paper_moved(case, h[list(perm)], caps, noise) <= EXACT
+
+
+@paper_checked
+@given(paper_cases, st.permutations(range(PN)))
+def test_paper_rrh_permutation_with_its_caps(case, perm):
+    h, caps, noise, _ = paper_instance(case)
+    perm = list(perm)
+    assert paper_moved(case, h[:, perm], caps[perm], noise) <= EXACT
+
+
+@paper_checked
+@given(paper_cases, st.lists(angles, min_size=PK, max_size=PK))
+def test_paper_phase_per_user(case, theta):
+    h, caps, noise, _ = paper_instance(case)
+    assert paper_moved(case, h * np.exp(1j * np.array(theta))[:, None, None], caps,
+                       noise) <= EXACT
+
+
+@paper_checked
+@given(paper_cases, st.data())
+def test_paper_unitary_per_rrh(case, data):
+    h, caps, noise, _ = paper_instance(case)
+    U = np.array([unitary(data.draw, PM) for _ in range(PN)])
+    assert paper_moved(case, np.einsum("nij,knj->kni", U, h), caps, noise) <= EXACT
+
+
+@paper_checked
+@given(paper_cases, scales)
+def test_paper_channel_and_noise_amplitude_scaling(case, c):
+    h, caps, noise, _ = paper_instance(case)
+    assert paper_moved(case, c * h, caps, c * c * noise) <= EXACT
+
+
+@paper_checked
+@given(paper_cases, scales)
+def test_paper_power_and_noise_scaling(case, c):
+    h, caps, noise, _ = paper_instance(case)
+    assert paper_moved(case, h, c * caps, c * noise) <= SEARCH
