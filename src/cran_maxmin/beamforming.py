@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from cran_maxmin.model import AssociationMap, BeamformerSet, ChannelState
-from cran_maxmin.socp import ConeSpec, CooMatrix, NewtonLayout, solve_socp
+from cran_maxmin.socp import ConeSpec, CooMatrix, NewtonLayout, UserBlocks, solve_socp
 
 _log = logging.getLogger(__name__)
 
@@ -229,7 +229,62 @@ class _BeamProblem:
         on_tail[tail_rows] = True
         G, spec = CooMatrix(row, cols[order], vals[order], (nrows, nx)), ConeSpec(dims)
         return _Template(G, on_tail[row], h, tail_rows, noise_rows, spec,
-                         NewtonLayout(G, spec))
+                         NewtonLayout(G, spec, lambda: self._user_blocks(G, spec)))
+
+    def _user_blocks(self, G: CooMatrix, spec: ConeSpec) -> UserBlocks:
+        """Where the per-user blocks of template G sit (`UserBlocks`), from
+        the layout `_build` gives it."""
+        K, N, M, nx, pk, pn = self.K, self.N, self.M, self.nx, self.pk, self.pn
+        P, m, missing = len(pk), np.arange(M), len(G.val)
+        key = G.row * nx + G.col  # ascending: G is row-major
+
+        def at(rows, cols, valid):
+            """Positions in G.val of the entries (rows, cols), or missing
+            where G has none (an exact zero) or valid is False."""
+            want = rows * nx + cols
+            pos = np.minimum(np.searchsorted(key, want), missing - 1)
+            return np.where(valid & (key[pos] == want), pos, missing)
+
+        # user j's entries, link by link: slot pn M + m, columns
+        # 1 + 2M p + m (Re) and 1 + 2M p + M + m (Im)
+        links = np.bincount(pk, minlength=K)
+        entry = (M * (np.arange(P) - (np.cumsum(links) - links)[pk]))[:, None] + m
+        first_col = 1 + 2 * M * np.arange(P)[:, None] + m  # (P, M)
+        cols = np.full((K, M * int(links.max()), 2), nx)
+        cols[pk[:, None], entry] = np.stack((first_col, first_col + M), axis=-1)
+        slots = np.full(cols.shape[:2], N * M)
+        slots[pk[:, None], entry] = pn[:, None] * M + m
+
+        # per RRH, its first two links (users ascending); cone k reads h_k on
+        # RRH n from the interference rows of the first link there of
+        # another user j, which sit at 1 + 2 (j's rank among the users but k)
+        per_rrh = np.bincount(pn, minlength=N)
+        by_rrh = np.argsort(pn, kind="stable")
+        begin = np.cumsum(per_rrh) - per_rrh
+        first = by_rrh[np.minimum(begin, P - 1)]
+        second = by_rrh[np.minimum(begin + 1, P - 1)]
+        users = np.arange(K)[:, None]
+        own = pk[first] == users  # (K, N)
+        link = np.where(own, second, first)
+        j = pk[link]
+        row = spec.heads[:K, None] + 1 + 2 * (j - (j > users))
+        col = (1 + 2 * M * link)[:, :, None, None] + m[:, None] + np.array([0, M])
+        chan = at(row[:, :, None, None], col, (per_rrh > own)[:, :, None, None])
+
+        # the power cone of each serving RRH (and the power program's
+        # total-power cone) on the columns of its first link
+        served = per_rrh > 0
+        cone = K + np.cumsum(served) - 1
+        link_col = 1 + 2 * M * first[:, None] + m  # (N, M)
+        power = [at(spec.heads[cone][:, None] + 1 + m, link_col, served[:, None])]
+        cones = [np.broadcast_to(cone[:, None], (N, M))]
+        if spec.nblocks > K + served.sum():
+            last = spec.nblocks - 1
+            power.append(at(spec.heads[last] + link_col, link_col, served[:, None]))
+            cones.append(np.full((N, M), last))
+        return UserBlocks(cols, slots, chan.reshape(K, N * M, 2),
+                          np.stack(power, axis=-1).reshape(N * M, -1),
+                          np.stack(cones, axis=-1).reshape(N * M, -1))
 
     def _instantiate(self, template: _Template, gamma: float):
         """(G, h, spec) at SINR target gamma: the interference entries and the

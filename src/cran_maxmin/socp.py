@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, ztrtri
 
 _STEP = 0.99
 _MIN_STEP = 1e-13
@@ -287,27 +287,64 @@ class _DenseNewton:
         return dx, dz
 
 
+class UserBlocks(NamedTuple):
+    """Where the per-user blocks of a beamforming program sit in its G, as
+    the template lays it out (`beamforming._BeamProblem._user_blocks`).
+
+    The first K cones are the users' SINR cones, in user order.  The N M
+    (RRH, antenna) pairs are slots 0 .. S - 1.  A user's beamformer is a
+    complex vector over its serving RRHs' slots, each entry a pair of
+    columns (Re, Im) of G.  Cone k's interference rows hold eta-free
+    multiples of h_k on every other user's columns, and the power cones put
+    one entry on each column of their slots.  Positions in G.val equal to
+    len(G.val) stand for an entry G lacks, which reads as zero.
+
+    cols:       (K, b, 2) the columns (Re, Im) of user j's entries, slot
+                by slot; b is the most any user has, and padding points at
+                column n, one past G's last.
+    slots:      (K, b) their slots; padding points at slot S.
+    chan:       (K, S, 2) positions of one (Re h_k, Im h_k) pair of cone
+                k's interference entries on each slot.
+    power:      (S, P) positions of one entry on each slot of each of the
+                P power cones that cover it.
+    power_cone: (S, P) those cones.
+    """
+
+    cols: np.ndarray
+    slots: np.ndarray
+    chan: np.ndarray
+    power: np.ndarray
+    power_cone: np.ndarray
+
+
 class _BlockNewton:
     """The reduced Newton matrix solved through its structure; G stays sparse
-    and unscaled.  G, the cone-head matrix and the blocks are filled from
+    and unscaled.  G, the cone-head matrix and the channels are filled from
     the values of a `CooMatrix` into the places its `_BlockPattern` holds;
     no dense copy of G is formed.
 
     Per cone, with head row g, tail rows T and u = G_i' J w,
         G_i' W_i^-2 G_i = eta^-2 (T'T + 2 u u' - g g').
-    Columns joined by a tail row form one block, so D = sum eta^-2 T'T is
-    block-diagonal (one block per user in the beamforming templates); its
-    blocks are padded to one size and factored as a batch.  Columns in no
-    tail row (the margin or power variable) get D = delta, taken out again
-    by a low-rank term.  The rank-2 remainder of every cone goes through a
-    small capacitance matrix (Woodbury).  Its negative g g' terms cancel
-    most of some capacitance entries once a cone's w grows, so each solve is
-    refined against the exact operator, until the correction falls below
-    1e-12 of dx or stops shrinking.  The residual is bx - G' dz of the dz
-    the solve returns: dz = W^-1 y with y = W^-1 G dx - W^-1 bz, plus one
-    correction step so that W dz reproduces y, the quantity the step uses.
-    Refining against that dz, not the uncorrected one, makes the returned
-    pair satisfy G' dz = bx as well.
+    The tail part D = sum eta^-2 T'T is block-diagonal with one block per
+    user.  User j's block is the real form of the complex Hermitian
+        D_j = Lambda + sum_{k != j} eta_k^-2 h_k h_k^H
+    on j's slots: the virtual uplink covariance of uplink-downlink duality
+    (Yu and Lan, IEEE TSP 2007), with the power cones' scaling Lambda as
+    its noise.  The D_j are formed from cone k's channel h_k, read off G,
+    as one (1 - I) @ Q product over the per-cone Grams Q_k, each a
+    principal submatrix at its user's size padded with identity to the
+    widest, and factored and inverted as a complex batch at half the real
+    size.  Columns in no tail row (the margin or power variable) get
+    D = delta, taken out again by a low-rank term.  The rank-2 remainder of
+    every cone goes through a small capacitance matrix (Woodbury).  Its
+    negative g g' terms cancel most of some capacitance entries once a
+    cone's w grows, so each solve is refined against the exact operator,
+    until the correction falls below 1e-12 of dx or stops shrinking.  The
+    residual is bx - G' dz of the dz the solve returns: dz = W^-1 y with
+    y = W^-1 G dx - W^-1 bz, plus one correction step so that W dz
+    reproduces y, the quantity the step uses.  Refining against that dz,
+    not the uncorrected one, makes the returned pair satisfy G' dz = bx as
+    well.
     """
 
     _MAX_REFINE = 8
@@ -315,43 +352,58 @@ class _BlockNewton:
     def __init__(self, G: CooMatrix, p: "_BlockPattern"):
         from scipy.sparse import csr_matrix
 
-        self.spec, self.n = p.spec, p.n
+        self.p, self.spec, self.n = p, p.spec, p.n
         self.G = csr_matrix((G.val, G.col, p.indptr), shape=G.shape)
         self.GT = self.G.T  # a CSC view of the same arrays
         self.H = np.zeros((p.n, p.spec.nblocks))
         self.H[p.hcol, p.hcone] = G.val[p.head]
-        self.R = np.zeros(p.rshape)
-        self.R[p.rindex] = G.val[~p.head]
-        self.free, self.perm, self.rcone, self.pad = p.free, p.perm, p.rcone, p.pad
-        self.row, self.val, self.ukey = G.row, G.val, p.ukey
+        val = np.append(G.val, 0.0)  # the zero that a missing entry reads
+        self.chan = val[p.chan].view(np.complex128)[..., 0]  # (slot, cone)
+        self.power = val[p.power]
+        self.row, self.val = G.row, G.val
+
+    def _tail_blocks(self, einv: np.ndarray) -> np.ndarray:
+        """The complex blocks D_j of the tail Gram at eta^-1 = einv."""
+        p = self.p
+        h = (self.chan * einv[:self.chan.shape[1]])[p.slots]  # (user, slot, cone)
+        D = (h * p.others[:, None, :]) @ h.conj().transpose(0, 2, 1)
+        lam = ((self.power * einv[p.power_cone]) ** 2).sum(axis=1)
+        D.reshape(len(D), -1)[:, ::D.shape[1] + 1] += np.append(lam, 1.0)[p.slots]
+        return D
 
     def factor(self, scal: _Scaling) -> bool:
-        spec, n = self.spec, self.n
+        spec, n, p = self.spec, self.n, self.p
         self.scal = scal
         einv = 1.0 / scal.eta
-        Rs = self.R * einv[self.rcone][:, :, None]
-        D = np.matmul(Rs.transpose(0, 2, 1), Rs) + self.pad
-        L = _cholesky(np.linalg.cholesky, D)
+        L = _cholesky(np.linalg.cholesky, self._tail_blocks(einv))
         if L is None:
             return False
-        # a triangular inverse per block costs a third of numpy's batched LU
-        Linv = np.stack([dtrtri(Lk, lower=1)[0] for Lk in L])
-        self.Dinv = np.matmul(Linv.transpose(0, 2, 1), Linv)
+        # a triangular inverse per block costs a third of numpy's batched LU;
+        # L' is upper triangular in Fortran order, so ztrtri takes it uncopied
+        # and returns L^-1 transposed in Fortran order
+        Linv = np.stack([ztrtri(Lk.T, lower=0)[0].T for Lk in L])
+        Dinv = np.matmul(Linv.conj().transpose(0, 2, 1), Linv)
+        # its real form on each user's columns, real parts first
+        b = Dinv.shape[1]
+        self.Dinv = np.empty((len(Dinv), 2 * b, 2 * b))
+        self.Dinv[:, :b, :b] = self.Dinv[:, b:, b:] = Dinv.real
+        self.Dinv[:, b:, :b] = Dinv.imag
+        self.Dinv[:, :b, b:] = -Dinv.imag
 
         nc = spec.nblocks
-        V = np.zeros((n + 1, 2 * nc + len(self.free)))
+        V = np.zeros((n + 1, 2 * nc + len(p.free)))
         # eta^-1 u per cone: G's entries times eta^-1 Jw of their rows, summed
         # by (column, cone) in the order of GT @ E, E the (row, cone) selector
         ejw = scal.jw * einv[spec.block_ids]
-        V[:n, :nc] = np.bincount(self.ukey, self.val * ejw[self.row],
+        V[:n, :nc] = np.bincount(p.ukey, self.val * ejw[self.row],
                                  minlength=n * nc).reshape(n, nc)
         V[:n, nc:2 * nc] = self.H * einv  # eta^-1 g per cone
-        self.delta = np.einsum("ij,ij->i", V[self.free], V[self.free])
+        self.delta = np.einsum("ij,ij->i", V[p.free], V[p.free])
         self.delta[self.delta == 0.0] = 1.0
-        V[self.free, 2 * nc + np.arange(len(self.free))] = np.sqrt(self.delta)
+        V[p.free, 2 * nc + np.arange(len(p.free))] = np.sqrt(self.delta)
         DinvV = np.zeros_like(V)
-        DinvV[self.perm] = np.matmul(self.Dinv, V[self.perm])
-        DinvV[self.free] = V[self.free] / self.delta[:, None]
+        DinvV[p.perm] = np.matmul(self.Dinv, V[p.perm])
+        DinvV[p.free] = V[p.free] / self.delta[:, None]
         sinv = np.full(V.shape[1], -1.0)
         sinv[:nc] = 0.5
         C = V.T @ DinvV
@@ -364,10 +416,11 @@ class _BlockNewton:
 
     def _approx(self, y: np.ndarray) -> np.ndarray:
         """(D + V S V')^-1 y by Woodbury."""
+        perm, free = self.p.perm, self.p.free
         yx = np.append(y, 0.0)
         z = np.zeros(self.n + 1)
-        z[self.perm] = np.matmul(self.Dinv, yx[self.perm][:, :, None])[:, :, 0]
-        z[self.free] = y[self.free] / self.delta
+        z[perm] = np.matmul(self.Dinv, yx[perm][:, :, None])[:, :, 0]
+        z[free] = y[free] / self.delta
         t = lu_solve(self.lu, self.V.T @ z, check_finite=False)
         return (z - self.DinvV @ t)[:self.n]
 
@@ -394,18 +447,13 @@ class _BlockNewton:
 
 
 class _BlockPattern:
-    """What `_BlockNewton` reads off the positions of G's entries alone: the
-    CSR row pointers, the head entries, the column blocks (components of the
-    column-row graph through the tail rows) with their padded layout, and
-    where each tail entry lands in the blocks' row matrices.  Built once per
-    sparsity pattern; a program with the same pattern fills in its values."""
+    """What `_BlockNewton` reads off the positions of G's entries and its
+    `UserBlocks`: the CSR row pointers, the head entries, the free columns,
+    and where each user's block sits among the per-cone Grams.  Built once
+    per sparsity pattern; a program with the same pattern fills in its
+    values."""
 
-    def __init__(self, G: CooMatrix, spec: ConeSpec):
-        # imported here: programs that stay on the dense path never load
-        # scipy.sparse, which adds about 5 MB to a process
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
+    def __init__(self, G: CooMatrix, spec: ConeSpec, blocks: UserBlocks):
         (m, n), row, col = G.shape, G.row, G.col
         self.spec, self.n = spec, n
         self.indptr = np.zeros(m + 1, dtype=np.intp)
@@ -414,62 +462,37 @@ class _BlockPattern:
         self.ukey = col * spec.nblocks + cone  # (column, cone) of each entry
         self.head = spec.heads[cone] == row
         self.hcol, self.hcone = col[self.head], cone[self.head]
-        tail = ~self.head
-        trow, tcol = row[tail], col[tail]
-        # columns joined through a tail row share a block: components of the
-        # bipartite column-row graph
-        link = csr_matrix((np.ones(len(trow)), (tcol, n + trow)), shape=(n + m, n + m))
-        label = connected_components(link, directed=False)[1][:n]
-        touched = np.zeros(n, dtype=bool)
-        touched[tcol] = True
-        self.free = np.flatnonzero(~touched)
-        cols = np.flatnonzero(touched)
-        _, colblk = np.unique(label[cols], return_inverse=True)
-        colpos, nb, b = _slots(colblk)
-        self.perm = np.full((nb, b), n)  # padding points at a zero row
-        self.perm[colblk, colpos] = cols
-        blk = np.zeros(n, dtype=np.intp)
-        pos = np.zeros(n, dtype=np.intp)
-        blk[cols], pos[cols] = colblk, colpos
-
-        rows, first, entry = np.unique(trow, return_index=True, return_inverse=True)
-        rowblk = blk[tcol[first]]
-        rowpos, _, rmax = _slots(rowblk)
-        self.rshape = (nb, rmax, b)
-        self.rindex = (rowblk[entry], rowpos[entry], pos[tcol])
-        self.rcone = np.zeros((nb, rmax), dtype=np.intp)  # padding rows of R are 0
-        self.rcone[rowblk, rowpos] = spec.block_ids[rows]
-        self.pad = np.zeros((nb, b, b))
-        pb, pp = np.nonzero(self.perm == n)
-        self.pad[pb, pp, pp] = 1.0
-        self.width = b
-        self.rank = 2 * spec.nblocks + len(self.free)
-
-
-def _slots(group: np.ndarray):
-    """Position of each item within its group, the group count and the
-    largest group size."""
-    sizes = np.bincount(group)
-    order = np.argsort(group, kind="stable")
-    pos = np.empty(len(group), dtype=np.intp)
-    pos[order] = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return pos, len(sizes), int(sizes.max(initial=0))
+        touched = np.zeros(n + 1, dtype=bool)
+        touched[blocks.cols] = True
+        self.free = np.flatnonzero(~touched[:n])
+        # each user's columns, real parts first; padding points at a zero row
+        self.perm = np.concatenate((blocks.cols[..., 0], blocks.cols[..., 1]), axis=1)
+        K, b = blocks.slots.shape
+        self.width, self.rank = b, 2 * spec.nblocks + len(self.free)
+        self.slots, self.power, self.power_cone = blocks.slots, blocks.power, blocks.power_cone
+        # the channels slot by slot, and the padding slot S, which holds none
+        # and gets 1 on the diagonal
+        self.chan = np.concatenate((blocks.chan.transpose(1, 0, 2),
+                                    np.full((1, K, 2), len(G.val))))
+        self.others = 1.0 - np.eye(K)  # weights of the leave-one-out sum
 
 
 class NewtonLayout:
     """How `solve_socp` solves the Newton systems of every program whose G
-    has one sparsity pattern and whose cones are one spec: by the block
-    solver, with its `_BlockPattern`, when G is large and neither its widest
-    block nor its low-rank part spans more than a quarter of its columns;
-    else whole.  Built once, it spares each such program the block
-    structure's set-up."""
+    has one sparsity pattern and whose cones are one spec: whole, unless G
+    has at least _BLOCK_MIN_COLS columns and blocks, a function that returns
+    its `UserBlocks`, is given; then by the block solver, with its
+    `_BlockPattern`, when neither the widest block nor the low-rank part
+    spans more than a quarter of G's columns.  blocks is called only then,
+    so a small program pays nothing for it.  Built once, the layout spares
+    each program of the pattern the block structure's set-up."""
 
-    def __init__(self, G: CooMatrix, spec: ConeSpec):
+    def __init__(self, G: CooMatrix, spec: ConeSpec, blocks=None):
         self.block = None
         n = G.shape[1]
-        if n >= _BLOCK_MIN_COLS:
-            block = _BlockPattern(G, spec)
-            if max(block.width, block.rank) <= n // 4:
+        if blocks is not None and n >= _BLOCK_MIN_COLS:
+            block = _BlockPattern(G, spec, blocks())
+            if max(2 * block.width, block.rank) <= n // 4:
                 self.block = block
 
     def system(self, G: CooMatrix):

@@ -1,8 +1,10 @@
 """The cone solver's structured Newton solve (block-diagonal tail Gram plus
 low-rank cone-head terms) against a dense G' W^-2 G reference, on the
-beamforming templates and their hard cases, and the steps the solver takes
-from its solves."""
+beamforming templates and their hard cases, the per-user blocks it forms
+from the templates' `UserBlocks`, and the steps the solver takes from its
+solves."""
 
+import dataclasses
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_instance, random_channels
-from test_socp import coo
+from test_socp import interior_point
 from cran_maxmin import beamforming, socp
 from cran_maxmin.association import nearest_rrh_association
 from cran_maxmin.beamforming import _BeamProblem, max_min_value, solve_max_min
@@ -60,15 +62,20 @@ def _fixtures():
 
 
 FIXTURES = _fixtures()
+# the template G and user blocks of each program below, by its ConeSpec
+TEMPLATES = {}
 
 
 def program(name, margin, share):
-    """(c, G, h, spec) of a template at share * the max-min optimum, G dense."""
+    """(c, G, h, spec) of a template at share * the max-min optimum, G
+    dense; the template's pattern and user blocks are kept in TEMPLATES."""
     ch, assoc, noise = FIXTURES[name]
     caps = np.ones(ch.n_rrh)
     gamma = share * solve_max_min(ch, assoc, caps, noise)[0] if share else 0.0
     prob = _BeamProblem(ch, assoc, caps, noise)
-    G, h, spec = prob._instantiate(prob._build(margin), gamma)
+    template = prob._build(margin)
+    G, h, spec = prob._instantiate(template, gamma)
+    TEMPLATES[spec] = (template.G, prob._user_blocks(template.G, spec))
     c = np.zeros(prob.nx)
     c[0] = -1.0 if margin else 1.0
     return c, G.toarray(), h, spec
@@ -78,9 +85,16 @@ CASES = [(name, True, share) for name in FIXTURES for share in (0.0, 0.5, 1.0)] 
         [(name, False, share) for name in FIXTURES for share in (0.5, 1.0 - 1e-4)]
 
 
+def on_template(G, spec):
+    """A dense G of a program above as a CooMatrix on its template's
+    pattern, explicit zeros included."""
+    pattern = TEMPLATES[spec][0]
+    return pattern._replace(val=G[pattern.row, pattern.col])
+
+
 def solve(newton, c, G, h, spec):
     """solve_socp on a dense G, with the Newton system newton(G, spec)."""
-    G = coo(G)
+    G = on_template(G, spec)
     layout = SimpleNamespace(system=lambda G: newton(G, spec))
     return socp.solve_socp(c, G, h, spec, layout)
 
@@ -90,16 +104,16 @@ def dense(G, spec):
 
 
 def block(G, spec):
-    return socp._BlockNewton(G, socp._BlockPattern(G, spec))
+    """The block system of G, forced onto programs of any size."""
+    return socp._BlockNewton(G, socp._BlockPattern(G, spec, TEMPLATES[spec][1]))
 
 
 def own(G, spec):
     """The system the layout of G's own pattern picks."""
-    return socp.NewtonLayout(G, spec).system(G)
+    return socp.NewtonLayout(G, spec, lambda: TEMPLATES[spec][1]).system(G)
 
 
 def test_reference_matches_dense_gram(rng):
-    from test_socp import interior_point
     c, G, h, spec = program("desk8-full", True, 0.5)
     scal = socp._Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
     Gtil = scal.apply_w_inv_mat(G)
@@ -218,18 +232,109 @@ def test_directions_meet_the_primal_equation(config):
     assert len(misses) == 2 * res.iterations  # a predictor and a corrector each
 
 
-def test_path_follows_problem_size():
+def test_path_follows_problem_size(monkeypatch):
+    # a template under _BLOCK_MIN_COLS columns builds no user blocks
+    described = []
+    user_blocks = _BeamProblem._user_blocks
+
+    def recorded(self, G, spec):
+        described.append(G.shape[1])
+        return user_blocks(self, G, spec)
+
+    monkeypatch.setattr(_BeamProblem, "_user_blocks", recorded)
     topo, desk, sigma2 = desk_instance(8)
     small = _BeamProblem(desk, AssociationMap.full(3, 6), np.ones(3), sigma2)
-    G, _, spec = small._instantiate(small._build(True), 1.0)
-    assert isinstance(own(G, spec), socp._DenseNewton)
+    template = small._build(True)
+    G, _, spec = small._instantiate(template, 1.0)
+    assert isinstance(template.layout.system(G), socp._DenseNewton)
+    assert described == []
     ch = random_channels(1, 15, 5, 5)  # the paper's 5 x 15 x 5 shape
     large = _BeamProblem(ch, AssociationMap.full(5, 15), np.ones(5), 1.0)
     for margin in (True, False):
-        G, _, spec = large._instantiate(large._build(margin), 1.0)
-        layout = socp.NewtonLayout(G, spec)
-        assert isinstance(layout.system(G), socp._BlockNewton)
-        assert layout.block.width == 50  # one block per user: 5 RRHs x 2 x 5 antennas
+        template = large._build(margin)
+        G, _, spec = large._instantiate(template, 1.0)
+        assert isinstance(template.layout.system(G), socp._BlockNewton)
+        # one block per user: 5 RRHs x 5 complex antenna weights
+        assert template.layout.block.width == 25
+    assert described == [751, 751]
+
+
+PAPER = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / "configs" / "paper.json")
+
+
+def strongest(ch, counts):
+    """User k on its counts[k % len(counts)] strongest RRHs by channel norm."""
+    order = np.argsort(-np.linalg.norm(ch.h, axis=2), axis=1)
+    alpha = np.zeros((ch.n_users, ch.n_rrh), dtype=bool)
+    for k in range(ch.n_users):
+        alpha[k, order[k, :counts[k % len(counts)]]] = True
+    return AssociationMap.from_indicator(alpha)
+
+
+def _structure_cases():
+    """(channels, association, noise power, margin program, gamma)."""
+    _, paper = draw_trial(PAPER, 0)
+    _, near = draw_trial(dataclasses.replace(PAPER, seed=9), 0)
+    noise = PAPER.noise_power_w()
+    full = AssociationMap.full(PAPER.n_rrh, PAPER.n_users)
+    pruned = strongest(paper, (1, 3, 5))
+    desk, assoc, sigma2 = FIXTURES["desk8-full"]
+    many, many_assoc, _ = FIXTURES["users-exceed-antennas"]
+    return {
+        "paper-full": (paper, full, noise, True, 0.5),
+        "paper-on-1-3-5-rrhs": (paper, pruned, noise, True, 0.5),
+        "paper-power": (paper, full, noise, False, 0.5),
+        "paper-on-1-3-5-rrhs-gamma-0": (paper, pruned, noise, True, 0.0),
+        "users-exceed-antennas": (many, many_assoc, 1.0, True, 0.5),
+        "desk8-full": (desk, assoc, sigma2, True, 0.5),
+        "paper-9/0-1m-guard": (near, full, noise, True, 0.5),
+    }
+
+
+STRUCTURE_CASES = _structure_cases()
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CASES)
+def test_user_blocks_equal_the_dense_tail_gram(monkeypatch, rng, name):
+    """Each user's block, formed from its template's UserBlocks, is the real
+    form of the matching diagonal block of sum_i eta_i^-2 T_i'T_i built from
+    the G the solver sees, at interior scalings whose cones' eta spread over
+    orders of magnitude; the padding is identity and nothing couples two
+    users.  Small programs are forced onto the block path."""
+    ch, assoc, noise, margin, gamma = STRUCTURE_CASES[name]
+    prob = _BeamProblem(ch, assoc, np.ones(ch.n_rrh), noise)
+    template = prob._build(margin)
+    seen = []
+
+    def record(c, G, h, spec, layout, start=None):
+        seen.append(G)
+        return SimpleNamespace(s=np.zeros(spec.m), z=np.zeros(spec.m))
+
+    monkeypatch.setattr(beamforming, "solve_socp", record)
+    prob._solve(template, gamma, np.zeros(prob.nx))
+    [G], spec = seen, template.spec
+    pattern = socp._BlockPattern(G, spec, prob._user_blocks(template.G, spec))
+    newton = socp._BlockNewton(G, pattern)
+    Gt = G.toarray()
+    Gt[spec.heads] = 0.0  # the tail rows
+    n, b = G.shape[1], pattern.width
+    for _ in range(3):
+        spread = 10.0 ** rng.uniform(-3, 3, (2, spec.nblocks))[:, spec.block_ids]
+        einv = 1.0 / socp._Scaling(spec, spread[0] * interior_point(rng, spec),
+                                   spread[1] * interior_point(rng, spec)).eta
+        ref = Gt.T @ (Gt * (einv ** 2)[spec.block_ids, None])
+        coupled = np.zeros_like(ref, dtype=bool)
+        for j, D in enumerate(newton._tail_blocks(einv)):
+            real = pattern.perm[j] < n
+            cols = pattern.perm[j][real]
+            mine = np.block([[D.real, -D.imag], [D.imag, D.real]])[np.ix_(real, real)]
+            block = ref[np.ix_(cols, cols)]
+            assert np.abs(mine - block).max() <= 1e-13 * np.abs(block).max()
+            pad = real[:b] == 0
+            assert np.array_equal(D[pad][:, pad], np.eye(pad.sum()))
+            assert not D[pad][:, ~pad].any()
+            coupled[np.ix_(cols, cols)] = True
+        assert not ref[~coupled].any()
 
 
 def _bytes(res):
@@ -248,7 +353,8 @@ def test_a_shared_layout_solves_bit_for_bit_as_a_fresh_one(margin):
         G, h, spec = prob._instantiate(template, gamma)
         assert np.array_equal(G.row, template.G.row)  # the template's pattern
         shared = socp.solve_socp(c, G, h, spec, template.layout)
-        fresh = socp.solve_socp(c, G, h, spec, socp.NewtonLayout(G, spec))
+        fresh = socp.solve_socp(c, G, h, spec,
+                                socp.NewtonLayout(G, spec, lambda: prob._user_blocks(G, spec)))
         assert (shared.status, shared.iterations, shared.obj) == \
             (fresh.status, fresh.iterations, fresh.obj)
         assert _bytes(shared) == _bytes(fresh)
@@ -261,9 +367,9 @@ def test_an_instance_keeps_the_template_pattern_and_layout(monkeypatch):
     built, solved = [], []
     layout, solve = socp.NewtonLayout, beamforming.solve_socp
 
-    def recorded_layout(G, spec):
+    def recorded_layout(G, spec, blocks=None):
         built.append(len(G.val))
-        return layout(G, spec)
+        return layout(G, spec, blocks)
 
     def recorded_solve(c, G, h, spec, layout, **kwargs):
         solved.append((G, layout))
@@ -305,12 +411,11 @@ def test_singular_newton_matrix_ends_the_solve_indeterminate(monkeypatch, newton
 
 @pytest.mark.parametrize("newton", [dense, block])
 def test_newton_factor_reports_failure_without_raising(rng, newton):
-    # a scaling whose eta overflowed makes the Newton matrix zero; at
-    # gamma = 0 every block has one column, so the block path has no padding
-    from test_socp import interior_point
+    # a scaling whose eta overflowed makes the Newton matrix zero, its
+    # per-user blocks included
     c, G, h, spec = program("desk8-full", True, 0.0)
     scal = socp._Scaling(spec, interior_point(rng, spec), interior_point(rng, spec))
-    solver = newton(coo(G), spec)
+    solver = newton(on_template(G, spec), spec)
     assert solver.factor(scal)
     scal.eta = np.full(spec.nblocks, np.inf)
     scal.eta_b = scal.eta[spec.block_ids]

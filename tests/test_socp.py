@@ -17,14 +17,21 @@ def coo(A):
     return CooMatrix(row, col, A[row, col], A.shape)
 
 
+# the UserBlocks of the beamforming programs below, by their ConeSpec
+USER_BLOCKS = {}
+
+
 def solve(c, G, h, dims, start=None):
     """The solver on a dense or COO G and a ConeSpec or a list of cone
-    sizes, with a Newton layout of the program's own."""
+    sizes, with a Newton layout of the program's own (given its user blocks
+    if it is a beamforming program)."""
     spec = dims if isinstance(dims, ConeSpec) else ConeSpec(dims)
     if not isinstance(G, CooMatrix):
         G = coo(np.asarray(G, dtype=float))
+    blocks = USER_BLOCKS.get(spec)
+    layout = NewtonLayout(G, spec, None if blocks is None else lambda: blocks)
     return solve_socp(np.asarray(c, dtype=float), G, np.asarray(h, dtype=float), spec,
-                       NewtonLayout(G, spec), start=start)
+                      layout, start=start)
 
 
 def interior(spec, u):
@@ -322,22 +329,15 @@ class TestBitExactKernels:
             assert np.array_equal(dz, ref_w_inv(sc, Gtil @ ref_dx - bbz))
 
 
-    @pytest.mark.parametrize("name", ["paper-size-margin", "random-dense"])
+    @pytest.mark.parametrize("name", ["paper-size-margin", "desk-margin"])
     def test_block_cone_terms_equal_the_selector_product(self, name, rng):
         # eta^-1 u per cone (u = G_i'Jw_i), summed by (column, cone), against
-        # the product GT @ E with E the (row, cone) selector it replaced.  The
-        # paper-size template has at most two entries per (column, cone), so
-        # only a G with more tests the order of the sums
-        if name == "random-dense":
-            spec = BIT_SPECS[2]
-            G = rng.standard_normal((spec.m, 9)) * (rng.random((spec.m, 9)) < 0.7)
-            G[0] = 1.0
-            G = coo(G)
-            newton = _BlockNewton(G, _BlockPattern(G, spec))
-        else:
-            _, G, _, spec = WARM_START_PROGRAMS[name]
-            newton = NewtonLayout(G, spec).system(G)
-            assert isinstance(newton, _BlockNewton)
+        # the product GT @ E with E the (row, cone) selector it replaced, on
+        # the block path (the desk program forced onto it).  The block path
+        # takes only beamforming templates, which have at most two entries
+        # per (column, cone)
+        _, G, _, spec = WARM_START_PROGRAMS[name]
+        newton = _BlockNewton(G, _BlockPattern(G, spec, USER_BLOCKS[spec]))
         n, nc = G.shape[1], spec.nblocks
         for _ in range(10):
             sc = _Scaling(spec, interior_point(rng, spec, scale=10.0 ** rng.uniform(-3, 3)),
@@ -398,7 +398,9 @@ def _warm_start_programs():
             ("paper-size-margin", random_channels(1, 15, 5, 5), AssociationMap.full(5, 15), 1.0)):
         prob = _BeamProblem(ch, assoc, np.ones(ch.n_rrh), noise)
         gamma = 0.01 * per_user_gamma_upper_bound(ch, assoc, np.ones(ch.n_rrh), noise)
-        G, h, spec = prob._instantiate(prob._build(True), gamma)
+        template = prob._build(True)
+        G, h, spec = prob._instantiate(template, gamma)
+        USER_BLOCKS[spec] = prob._user_blocks(template.G, spec)
         c = np.zeros(prob.nx)
         c[0] = -1.0
         programs[name] = (c, G, h, spec)
