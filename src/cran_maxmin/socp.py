@@ -24,14 +24,15 @@ beamforming templates are built in.  The cones are a `ConeSpec`.
 G must have full column rank (every variable must enter some cone row);
 the reduced Newton matrix G' W^-2 G is then positive definite, and one
 factorization per iteration serves both of its solves.  It is solved
-one of two ways, picked from the shape of G by the `NewtonLayout` the
-caller passes: programs under `_BLOCK_MIN_COLS` variables densify G, form
-the matrix from W^-1 G and factor it whole; larger ones whose tail rows
-split the columns into small blocks (the beamforming templates: one block
-per user) solve it as a block-diagonal matrix plus low-rank cone-head
-terms, read straight off the entries of G, without forming it.  The layout
-depends only on where G's entries sit, so a caller that solves many
-programs of one sparsity pattern builds it once.
+one of two ways, picked by the `NewtonLayout` the caller passes.  Programs
+under `_BLOCK_MIN_COLS` variables, and any program whose caller describes
+no blocks, densify G, form the matrix from W^-1 G and factor it whole.  A
+larger beamforming template, whose caller says where its per-user blocks
+sit (`UserBlocks`), is solved as a block-diagonal matrix plus low-rank
+cone-head terms, without forming it: each user's block is a complex
+Hermitian matrix at half the real size, formed from the channels read off
+G's entries.  The layout depends only on where G's entries sit, so a
+caller that solves many programs of one sparsity pattern builds it once.
 
 A solve starts cold from (0, e, e), or warm from a nearby optimum (see
 `solve_socp`).
@@ -44,7 +45,7 @@ and z, from one stacked `jdot`, and lambda'J lambda and lambda's heads for
 the divisions by lambda.  `ConeSpec.max_step` takes s and z (and their
 directions) stacked as rows, with the scaling's u'Ju, so one call bounds the
 step.  On the block path, each cone's G_i'Jw_i is one `np.bincount` over
-G's entries.
+G's entries, and the users' blocks are one batched matrix product.
 """
 
 from __future__ import annotations
@@ -294,10 +295,11 @@ class UserBlocks(NamedTuple):
     The first K cones are the users' SINR cones, in user order.  The N M
     (RRH, antenna) pairs are slots 0 .. S - 1.  A user's beamformer is a
     complex vector over its serving RRHs' slots, each entry a pair of
-    columns (Re, Im) of G.  Cone k's interference rows hold eta-free
-    multiples of h_k on every other user's columns, and the power cones put
-    one entry on each column of their slots.  Positions in G.val equal to
-    len(G.val) stand for an entry G lacks, which reads as zero.
+    columns (Re, Im) of G.  Cone k's tail rows hold a multiple of user k's
+    channel h_k on every other user's columns (a pair of rows per user, the
+    real form of h_k^H w_j), and each power cone puts one entry, all of
+    them equal, on each column of its slots.  A position in G.val equal to
+    len(G.val) stands for an entry G lacks, which reads as zero.
 
     cols:       (K, b, 2) the columns (Re, Im) of user j's entries, slot
                 by slot; b is the most any user has, and padding points at
@@ -326,25 +328,31 @@ class _BlockNewton:
     Per cone, with head row g, tail rows T and u = G_i' J w,
         G_i' W_i^-2 G_i = eta^-2 (T'T + 2 u u' - g g').
     The tail part D = sum eta^-2 T'T is block-diagonal with one block per
-    user.  User j's block is the real form of the complex Hermitian
+    user (`UserBlocks`).  User j's block is the real form of the complex
+    Hermitian matrix
         D_j = Lambda + sum_{k != j} eta_k^-2 h_k h_k^H
     on j's slots: the virtual uplink covariance of uplink-downlink duality
-    (Yu and Lan, IEEE TSP 2007), with the power cones' scaling Lambda as
-    its noise.  The D_j are formed from cone k's channel h_k, read off G,
-    as one (1 - I) @ Q product over the per-cone Grams Q_k, each a
-    principal submatrix at its user's size padded with identity to the
-    widest, and factored and inverted as a complex batch at half the real
-    size.  Columns in no tail row (the margin or power variable) get
-    D = delta, taken out again by a low-rank term.  The rank-2 remainder of
-    every cone goes through a small capacitance matrix (Woodbury).  Its
-    negative g g' terms cancel most of some capacitance entries once a
-    cone's w grows, so each solve is refined against the exact operator,
-    until the correction falls below 1e-12 of dx or stops shrinking.  The
-    residual is bx - G' dz of the dz the solve returns: dz = W^-1 y with
-    y = W^-1 G dx - W^-1 bz, plus one correction step so that W dz
-    reproduces y, the quantity the step uses.  Refining against that dz,
-    not the uncorrected one, makes the returned pair satisfy G' dz = bx as
-    well.
+    (Yu and Lan, IEEE TSP 2007; Wiesel, Eldar and Shamai, IEEE TSP 2006),
+    with the power cones' scaling Lambda as its noise.  h_k, read off G's
+    values, carries sqrt(gamma) and any row scaling of its cone.  The D_j
+    are one batched product: per user, the channels on its slots weighted
+    by the leave-one-out weights 1 - I, times their conjugate transpose;
+    slots past a user's own pad its block with identity to the widest.
+    Subtracting h_j h_j^H from the full sum instead would lose Lambda to
+    cancellation late in a solve, when idle power cones drive it towards 0.
+    The blocks are factored by a batched complex Cholesky, inverted by
+    ztrtri, and their inverses expanded to real form, real parts first,
+    for the low-rank part.  Columns in no tail row (the margin or power
+    variable) get D = delta, taken out again by a low-rank term.  The
+    rank-2 remainder of every cone goes through a small capacitance matrix
+    (Woodbury).  Its negative g g' terms cancel most of some capacitance
+    entries once a cone's w grows, so each solve is refined against the
+    exact operator, until the correction falls below 1e-12 of dx or stops
+    shrinking.  The residual is bx - G' dz of the dz the solve returns:
+    dz = W^-1 y with y = W^-1 G dx - W^-1 bz, plus one correction step so
+    that W dz reproduces y, the quantity the step uses.  Refining against
+    that dz, not the uncorrected one, makes the returned pair satisfy
+    G' dz = bx as well.
     """
 
     _MAX_REFINE = 8
@@ -360,7 +368,8 @@ class _BlockNewton:
         val = np.append(G.val, 0.0)  # the zero that a missing entry reads
         self.chan = val[p.chan].view(np.complex128)[..., 0]  # (slot, cone)
         self.power = val[p.power]
-        self.row, self.val = G.row, G.val
+        self.free, self.perm = p.free, p.perm
+        self.row, self.val, self.ukey = G.row, G.val, p.ukey
 
     def _tail_blocks(self, einv: np.ndarray) -> np.ndarray:
         """The complex blocks D_j of the tail Gram at eta^-1 = einv."""
@@ -372,7 +381,7 @@ class _BlockNewton:
         return D
 
     def factor(self, scal: _Scaling) -> bool:
-        spec, n, p = self.spec, self.n, self.p
+        spec, n = self.spec, self.n
         self.scal = scal
         einv = 1.0 / scal.eta
         L = _cholesky(np.linalg.cholesky, self._tail_blocks(einv))
@@ -391,19 +400,19 @@ class _BlockNewton:
         self.Dinv[:, :b, b:] = -Dinv.imag
 
         nc = spec.nblocks
-        V = np.zeros((n + 1, 2 * nc + len(p.free)))
+        V = np.zeros((n + 1, 2 * nc + len(self.free)))
         # eta^-1 u per cone: G's entries times eta^-1 Jw of their rows, summed
         # by (column, cone) in the order of GT @ E, E the (row, cone) selector
         ejw = scal.jw * einv[spec.block_ids]
-        V[:n, :nc] = np.bincount(p.ukey, self.val * ejw[self.row],
+        V[:n, :nc] = np.bincount(self.ukey, self.val * ejw[self.row],
                                  minlength=n * nc).reshape(n, nc)
         V[:n, nc:2 * nc] = self.H * einv  # eta^-1 g per cone
-        self.delta = np.einsum("ij,ij->i", V[p.free], V[p.free])
+        self.delta = np.einsum("ij,ij->i", V[self.free], V[self.free])
         self.delta[self.delta == 0.0] = 1.0
-        V[p.free, 2 * nc + np.arange(len(p.free))] = np.sqrt(self.delta)
+        V[self.free, 2 * nc + np.arange(len(self.free))] = np.sqrt(self.delta)
         DinvV = np.zeros_like(V)
-        DinvV[p.perm] = np.matmul(self.Dinv, V[p.perm])
-        DinvV[p.free] = V[p.free] / self.delta[:, None]
+        DinvV[self.perm] = np.matmul(self.Dinv, V[self.perm])
+        DinvV[self.free] = V[self.free] / self.delta[:, None]
         sinv = np.full(V.shape[1], -1.0)
         sinv[:nc] = 0.5
         C = V.T @ DinvV
@@ -416,11 +425,10 @@ class _BlockNewton:
 
     def _approx(self, y: np.ndarray) -> np.ndarray:
         """(D + V S V')^-1 y by Woodbury."""
-        perm, free = self.p.perm, self.p.free
         yx = np.append(y, 0.0)
         z = np.zeros(self.n + 1)
-        z[perm] = np.matmul(self.Dinv, yx[perm][:, :, None])[:, :, 0]
-        z[free] = y[free] / self.delta
+        z[self.perm] = np.matmul(self.Dinv, yx[self.perm][:, :, None])[:, :, 0]
+        z[self.free] = y[self.free] / self.delta
         t = lu_solve(self.lu, self.V.T @ z, check_finite=False)
         return (z - self.DinvV @ t)[:self.n]
 
@@ -449,9 +457,9 @@ class _BlockNewton:
 class _BlockPattern:
     """What `_BlockNewton` reads off the positions of G's entries and its
     `UserBlocks`: the CSR row pointers, the head entries, the free columns,
-    and where each user's block sits among the per-cone Grams.  Built once
-    per sparsity pattern; a program with the same pattern fills in its
-    values."""
+    each user's columns and slots, and where the channels and the power
+    cones' entries sit.  Built once per sparsity pattern; a program with the
+    same pattern fills in its values."""
 
     def __init__(self, G: CooMatrix, spec: ConeSpec, blocks: UserBlocks):
         (m, n), row, col = G.shape, G.row, G.col
@@ -479,13 +487,14 @@ class _BlockPattern:
 
 class NewtonLayout:
     """How `solve_socp` solves the Newton systems of every program whose G
-    has one sparsity pattern and whose cones are one spec: whole, unless G
-    has at least _BLOCK_MIN_COLS columns and blocks, a function that returns
-    its `UserBlocks`, is given; then by the block solver, with its
-    `_BlockPattern`, when neither the widest block nor the low-rank part
-    spans more than a quarter of G's columns.  blocks is called only then,
-    so a small program pays nothing for it.  Built once, the layout spares
-    each program of the pattern the block structure's set-up."""
+    has one sparsity pattern and whose cones are one spec.  blocks, if
+    given, is a function that returns the program's `UserBlocks`; it is
+    called only when G has at least _BLOCK_MIN_COLS columns, so a small
+    program pays nothing for it.  The block solver, with its
+    `_BlockPattern`, then takes the systems when neither the widest block
+    (in real columns) nor the low-rank part spans more than a quarter of
+    G's columns.  Anything else is solved whole.  Built once, the layout
+    spares each program of the pattern the block structure's set-up."""
 
     def __init__(self, G: CooMatrix, spec: ConeSpec, blocks=None):
         self.block = None
