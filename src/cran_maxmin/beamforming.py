@@ -249,9 +249,9 @@ class _BeamProblem:
         # 1 + 2M p + m (Re) and 1 + 2M p + M + m (Im)
         links = np.bincount(pk, minlength=K)
         entry = (M * (np.arange(P) - (np.cumsum(links) - links)[pk]))[:, None] + m
-        first_col = 1 + 2 * M * np.arange(P)[:, None] + m  # (P, M)
+        re_col = 1 + 2 * M * np.arange(P)[:, None] + m  # (P, M)
         cols = np.full((K, M * int(links.max()), 2), nx)
-        cols[pk[:, None], entry] = np.stack((first_col, first_col + M), axis=-1)
+        cols[pk[:, None], entry] = np.stack((re_col, re_col + M), axis=-1)
         slots = np.full(cols.shape[:2], N * M)
         slots[pk[:, None], entry] = pn[:, None] * M + m
 
