@@ -568,6 +568,26 @@ def test_stalled_tightening_is_retried_not_relaxed(monkeypatch, caplog, trial):
     assert (per_rrh_power(bf) <= caps * (1 + 1e-9)).all()
 
 
+# the value each association of STALLED_TIGHTENINGS tightened at, where its
+# power-min ended indeterminate before the Newton solves checked their own
+# residual G'dz - bx
+STALLED_TARGETS = {7: 0.07271854591234475, 11: 0.07689669261005673}
+
+
+@pytest.mark.parametrize("trial", sorted(STALLED_TARGETS))
+def test_stalled_tightening_target_ends_strict_at_once(monkeypatch, trial):
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+    _, ch = draw_trial(cfg, trial)
+    assoc = AssociationMap(tuple(map(frozenset, STALLED_TIGHTENINGS[trial])))
+    calls = _counting_solves(monkeypatch)
+    gamma = STALLED_TARGETS[trial]
+    bf = solve_power_min(ch, assoc, gamma, cfg.power_caps_w(), cfg.noise_power_w())
+    assert len(calls) == 1
+    assert (compute_all_sinrs(ch, bf, cfg.noise_power_w()) >= gamma * (1 - 1e-6)).all()
+    assert (per_rrh_power(bf) <= np.asarray(cfg.power_caps_w()) * (1 + 1e-9)).all()
+
+
 class TestSolvePowerMin:
     def test_zero_target_zero_power(self):
         ch = random_channels(90, 2, 2, 2)

@@ -72,7 +72,13 @@ def program(name, margin, share):
     ch, assoc, noise = FIXTURES[name]
     caps = np.ones(ch.n_rrh)
     gamma = share * solve_max_min(ch, assoc, caps, noise)[0] if share else 0.0
-    prob = _BeamProblem(ch, assoc, caps, noise)
+    return program_at(name, margin, gamma)
+
+
+def program_at(name, margin, gamma):
+    """program() at SINR target gamma."""
+    ch, assoc, noise = FIXTURES[name]
+    prob = _BeamProblem(ch, assoc, np.ones(ch.n_rrh), noise)
     template = prob._build(margin)
     G, h, spec = prob._instantiate(template, gamma)
     TEMPLATES[spec] = (template.G, prob._user_blocks(template.G, spec))
@@ -169,6 +175,22 @@ def test_every_case_ends_optimal_on_both_paths():
     ends = [(case, newton.__name__) for case, p in zip(CASES, programs)
             for newton in (dense, block) if solve(newton, *p).status != "optimal"]
     assert ends == []
+
+
+# targets just under the 100 dB-spread program's max-min value (9.039e-4)
+# where its raw power program, unscaled by cone, once ended indeterminate
+# on the block path: the Woodbury part lost the system to cancellation and
+# the directions' residuals G'dz - bx grew to 4e1 of bx, while the dense
+# path ended optimal in 37 and 40 iterations
+SPREAD_POWER_TARGETS = [0.99995 * 9.03925276064e-4, 0.9999 * 9.03916461693e-4]
+
+
+@pytest.mark.parametrize("newton", [dense, block])
+@pytest.mark.parametrize("gamma", SPREAD_POWER_TARGETS)
+def test_spread_power_program_ends_optimal_near_its_value(newton, gamma):
+    res = solve(newton, *program_at("100dB-spread", False, gamma))
+    assert res.status == "optimal"
+    assert res.iterations <= 45
 
 
 @pytest.mark.parametrize("force_block", [False, True])
