@@ -44,6 +44,17 @@ _WARM_GATE = 0.2
 # A max-min search makes at most this many feasibility probes.
 _MAX_PROBES = 60
 
+# A margin probe stops once its bounds [L, U] on the optimal margin decide
+# the verdict and U - L <= _STOP_KAPPA |(L + U)/2 + cone_feas_tol|, so that
+# the Newton step the search aims with the margin misses by at most about
+# that share.  0.003 is the largest value at which no ROOT_FINDER_CASES
+# search needs more probes than its bound in the tests (at 0.01, desk4's
+# nearest-RRH search takes eight).
+_STOP_KAPPA = 0.003
+
+# Relative rounding allowance of the upper bound's h'z and G'z.
+_ROUNDING = 1e-12
+
 
 class SolverIndeterminate(RuntimeError):
     """The cone solver stalled before reaching any certificate."""
@@ -82,9 +93,11 @@ class SolverTolerances:
 
 @dataclass
 class SolverStats:
-    """One cone solve.  margin is a probe's optimal margin; slope, for a
-    probe solved to optimality, is its derivative in t = sqrt(gamma), read
-    off the optimal (s, z) by the envelope theorem, and None otherwise."""
+    """One cone solve.  margin is a probe's optimal margin, or the midpoint
+    of its certified bounds when the probe stopped short of the optimum
+    (`_MarginCertificate`); slope, for a probe that reached either, is its
+    derivative in t = sqrt(gamma), read off the final (s, z) by the
+    envelope theorem, and None otherwise."""
 
     status: str
     iterations: int
@@ -133,6 +146,59 @@ class _Template(NamedTuple):
     layout: NewtonLayout
 
 
+class _MarginCertificate:
+    """Bounds on the optimal margin of one margin probe at gamma, read off
+    any interior-point iterate without trusting the solver, and the stop
+    test that ends the probe on them (`solve_socp`'s stop).  Its arguments
+    are the template's program at gamma, unscaled (`_BeamProblem._solve`
+    maps them back).
+
+    lower L: the margin that the iterate's beamformers x[1:] achieve.  With
+    st = h - G[:, 1:] x[1:] = s - rz + G[:, 0] x0, and G[:, 0] 1 on every
+    cone head, L = min over cones of st_0 - ||st_tail||.
+
+    upper U: weak duality.  z is interior, so in K = K*, and for any
+    feasible x, with rx = G'z + c, x0 (1 + rx0) <= h'z - rx[1:]'x[1:].  An
+    optimal x has margin at least L, so each power cone bounds its RRH's
+    beamformers by sqrt(P_n) + max(0, -L), and ||x[1:]|| <= b, the 2-norm
+    of those bounds over the serving RRHs.  Then, where 1 + rx0 > 0,
+    U = (h'z + ||rx[1:]|| b + rounding) / (1 + rx0); elsewhere U = inf."""
+
+    __slots__ = ("gamma", "tol", "heads", "h", "root_caps", "lower", "upper")
+
+    def __init__(self, prob: "_BeamProblem", gamma: float, tol: float):
+        self.gamma, self.tol = gamma, tol
+        _, self.h, spec = prob._instantiate(prob._margin, gamma)
+        self.heads = spec.heads
+        self.root_caps = np.sqrt(prob.caps[np.unique(prob.pn)])
+        self.lower = self.upper = None
+
+    def bounds(self, x, s, z, rx, rz, hz):
+        """(L, U) at the iterate (x, s, z) with residuals rx, rz and hz = h'z."""
+        heads = self.heads
+        st = s - rz
+        st[heads] += x[0]
+        sq = np.array((st, z))
+        sq *= sq
+        sq[:, heads] = 0.0
+        tails = np.sqrt(np.add.reduceat(sq, heads, axis=1))
+        lower = float(np.min(st[heads] - tails[0]))
+        den = 1.0 + float(rx[0])
+        if not den > 0.0 or (z[heads] < tails[1]).any():
+            return lower, math.inf
+        b = float(np.linalg.norm(self.root_caps + max(0.0, -lower)))
+        slack = _ROUNDING * (float(self.h @ np.abs(z)) + b)
+        return lower, (hz + float(np.linalg.norm(rx[1:])) * b + slack) / den
+
+    def __call__(self, x, s, z, rx, rz, hz) -> bool:
+        """Whether [L, U] decides the verdict and pins the margin within
+        _STOP_KAPPA of its distance to -tol; keeps L and U."""
+        lower, upper = self.lower, self.upper = self.bounds(x, s, z, rx, rz, hz)
+        tol = self.tol
+        return ((lower >= -tol or upper < -tol)
+                and upper - lower <= _STOP_KAPPA * abs(0.5 * (lower + upper) + tol))
+
+
 class _BeamProblem:
     """Cone-program templates for one (channels, association, caps) triple.
 
@@ -156,7 +222,7 @@ class _BeamProblem:
         if (caps <= 0).any():
             raise ValueError("power caps must be positive")
         self.K, self.N, self.M = ch.h.shape
-        self.ch = ch
+        self.ch, self.assoc = ch, assoc
         self.hs = ch.h / math.sqrt(noise_power_w)
         self.caps = caps
         self.unserved = bool(assoc.unserved_users(self.K))
@@ -297,25 +363,36 @@ class _BeamProblem:
         h[template.noise_rows] *= sq
         return G._replace(val=val), h, template.spec
 
-    def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None):
+    def _solve(self, template: _Template, gamma: float, c: np.ndarray, start=None,
+               stop=None):
         """solve_socp on the template at gamma, with the template's Newton
         layout, each cone's rows of G and h divided by f, the largest
-        absolute entry of those rows outside column 0.  A positive factor
-        maps a cone onto itself, so the program and its optimum are those of
-        the template; the solver sees (x, s/f, z f), and the start and the
-        result are mapped accordingly.  Without it, rows that span many
-        orders of magnitude (a user a few metres from an RRH) stall probes."""
+        2-norm of those rows outside column 0.  A positive factor maps a
+        cone onto itself, so the program and its optimum are those of the
+        template; the solver sees (x, s/f, z f), and the start, the stop
+        test's arguments and the result are mapped accordingly.  Without it,
+        rows that span many orders of magnitude (a user a few metres from an
+        RRH) stall probes.  A row's 2-norm, unlike its largest entry, does
+        not change under the problem's exact symmetries (a phase per user, a
+        unitary per RRH, permutations), so neither does a solve's path, even
+        one that stops early."""
         G, h, spec = self._instantiate(template, gamma)
         off = G.col != 0
-        big = np.zeros(spec.nblocks)
-        np.maximum.at(big, spec.block_ids[G.row[off]], np.abs(G.val[off]))
+        rows = np.bincount(G.row[off], G.val[off] ** 2, minlength=spec.m)
+        big = np.sqrt(np.maximum.reduceat(rows, spec.heads))
         big[big == 0.0] = 1.0  # a cone with no such entry (a zero channel)
         f = big[spec.block_ids]
         if start is not None:
             x, s, z = start
             start = (x, s / f, z * f)
+        if stop is not None:
+            unscaled = stop
+
+            def stop(x, s, z, rx, rz, hz):
+                return unscaled(x, s * f, z / f, rx, rz * f, hz)
+
         res = solve_socp(c, G._replace(val=G.val / f[G.row]), h / f, spec,
-                         template.layout, start=start)
+                         template.layout, start=start, stop=stop)
         res.s, res.z = res.s * f, res.z / f
         return res
 
@@ -351,9 +428,13 @@ class _BeamProblem:
 
     def probe(self, gamma: float, tol: SolverTolerances) -> FeasibilityOutcome:
         """Feasibility verdict at SINR target gamma: `_trivial`'s, else from
-        the optimal margin (feasible iff it clears -cone_feas_tol), else
-        indeterminate.  The solve starts from the last optimal probe's
-        solution when gamma is within _WARM_GATE of its target, else cold."""
+        the margin (feasible iff it clears -cone_feas_tol), else
+        indeterminate.  The solve ends at the optimum or, often sooner,
+        where `_MarginCertificate` decides the verdict and pins the margin
+        well enough for the search's next Newton step; the margin reported
+        is then the midpoint of its bounds.  It starts from the last
+        probe's final iterate when gamma is within _WARM_GATE of that
+        probe's target, else cold."""
         trivial = self._trivial(gamma)
         if trivial is not None:
             return trivial
@@ -364,17 +445,20 @@ class _BeamProblem:
         start = None
         if self._warm is not None and abs(gamma / self._warm[0] - 1.0) <= _WARM_GATE:
             start = self._warm[1]
-        res = self._solve(self._margin, gamma, c, start)
-        if res.status == "optimal":
-            self._warm = (gamma, (res.x, res.s, res.z))
-        margin = -res.obj
-        stats = SolverStats(res.status, res.iterations, margin, res.pres, res.dres)
-        if res.status != "optimal":
+        cert = _MarginCertificate(self, gamma, tol.cone_feas_tol)
+        res = self._solve(self._margin, gamma, c, start, stop=cert)
+        stats = SolverStats(res.status, res.iterations, -res.obj, res.pres, res.dres)
+        if res.status == "indeterminate":
             return FeasibilityOutcome("indeterminate", None, stats)
+        self._warm = (gamma, (res.x, res.s, res.z))
+        feasible = stats.margin >= -tol.cone_feas_tol
+        if res.status == "stopped":
+            stats.margin = 0.5 * (cert.lower + cert.upper)
+            feasible = cert.lower >= -tol.cone_feas_tol
         # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
         tail, noise = self._margin.tail_rows, self._margin.noise_rows
         stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
-        if margin >= -tol.cone_feas_tol:
+        if feasible:
             return FeasibilityOutcome("feasible", self.unpack(res.x), stats)
         return FeasibilityOutcome("infeasible", None, stats)
 
@@ -415,7 +499,9 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
                      gamma_lb: Optional[float] = None):
     """Shrink the bracket [lo feasible, hi infeasible] around the max-min
     optimum until hi - lo <= bisection_rel_tol * lo, with at most
-    _MAX_PROBES probes.  Returns (lo, beamformers at lo).
+    _MAX_PROBES probes.  Returns (lo, beamformers at lo); if the cap ends
+    the search first, it logs a WARNING that names lo, hi and the
+    association.
 
     f = margin + cone_feas_tol is >= 0 exactly at the feasible targets and
     falls smoothly in t = sqrt(gamma).  The first probe is at gamma_lb when
@@ -450,6 +536,10 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
         gamma = t * t * (1.0 + 0.45 * tol.bisection_rel_tol * side)
         if not (t > 0.0 and lo < gamma < hi):
             gamma = 0.5 * (lo + hi)
+    if hi - lo > tol.bisection_rel_tol * lo:
+        _log.warning("max-min search stopped at its cap of %d probes with lo=%r, "
+                     "hi=%r, association %s: returning lo", _MAX_PROBES, lo, hi,
+                     [sorted(s) for s in prob.assoc.omega])
     return lo, bf_lo
 
 

@@ -12,7 +12,8 @@ The method is an infeasible-start primal-dual path-following loop (like
 CVXOPT's `coneqp` with no quadratic term) with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step.  It reports an optimum only at an
 iterate that passes its strict stopping test (residuals within _FEASTOL,
-gap within _ABSTOL or _RELTOL), and anything else as indeterminate at its
+gap within _ABSTOL or _RELTOL), as stopped where a stop test that the
+caller passes ends it first, and anything else as indeterminate at its
 last iterate: the iteration limit _MAX_ITERS, a stalled step, or a Newton
 matrix that fails to factor.  It looks for no certificate of an infeasible
 or unbounded program.  It supports nothing beyond the form above: no free
@@ -551,9 +552,12 @@ class SocpResult:
     """Outcome of a cone-program solve.
 
     Status "optimal" means that x/s/z passed the strict stopping test and
-    obj = c'x.  Status "indeterminate" means the iteration limit, a stalled
-    step or a failed factorization of the Newton matrix came first; x/s/z
-    are then the last iterate's, and pres, dres and relgap its residuals.
+    obj = c'x.  Status "stopped" means the caller's stop test ended the
+    solve first, at an iterate that is not an optimum; what it is worth is
+    the caller's to say.  Status "indeterminate" means the iteration limit,
+    a stalled step or a failed factorization of the Newton matrix came
+    first.  Short of an optimum, x/s/z are the last iterate's, and pres,
+    dres and relgap its residuals.
     Neither an infeasible nor an unbounded program is looked for: the
     package poses none, and a power-min at an infeasible target ends
     indeterminate.  iterations counts the interior-point iterations run.
@@ -571,7 +575,7 @@ class SocpResult:
 
 
 def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
-               layout: NewtonLayout, start=None) -> SocpResult:
+               layout: NewtonLayout, start=None, stop=None) -> SocpResult:
     """Solve the program (c, G, h, K), with the Newton systems of layout,
     which must have been built from a G with this one's sparsity pattern.
 
@@ -584,7 +588,12 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
     at lambda (x, s, z) + (1 - lambda) (0, e, e), with lambda =
     _WARM_WEIGHT: interior, since e is, and close to that optimum (the warm
     start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).  Without
-    it, the start is (0, e, e)."""
+    it, the start is (0, e, e).
+
+    stop, when given, is called at every iterate that fails the strict test
+    as stop(x, s, z, rx, rz, hz), with the residuals above and hz = h'z, all
+    of which the iteration has formed anyway; a true return ends the solve
+    there with status "stopped"."""
     m, n = G.shape
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
@@ -611,12 +620,15 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
         rz = newton.G @ x + s - h
         cx = float(c @ x)
         gap = float(s @ z)
+        hz = float(h @ z)
 
         pres = float(np.linalg.norm(rz)) / normh
         dres = float(np.linalg.norm(rx)) / normc
-        relgap = gap / max(1.0, abs(cx), abs(float(h @ z)))
+        relgap = gap / max(1.0, abs(cx), abs(hz))
         if pres <= _FEASTOL and dres <= _FEASTOL and (gap <= _ABSTOL or relgap <= _RELTOL):
             return SocpResult("optimal", x, s, z, cx, it, pres, dres, relgap)
+        if stop is not None and stop(x, s, z, rx, rz, hz):
+            return SocpResult("stopped", x, s, z, cx, it, pres, dres, relgap)
 
         try:
             scal = _Scaling(spec, s, z)

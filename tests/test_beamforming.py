@@ -441,13 +441,18 @@ def _slope_cases():
 
 class TestProbeSlope:
     @pytest.mark.parametrize("name", ["desk5-full", "paper-trial0-full"])
-    def test_slope_matches_finite_difference(self, name):
+    def test_slope_matches_finite_difference(self, name, monkeypatch):
+        # the formula, on probes solved to the strict test: a stop factor of
+        # 0 stops no probe early
+        monkeypatch.setattr(beamforming, "_STOP_KAPPA", 0.0)
         ch, assoc, caps, sigma2 = _slope_cases()[name]
         g_star, _ = max_min_value(ch, assoc, caps, sigma2, TOL)
         prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
 
         def margin(t):
-            return prob.probe(t * t, TOL).solver_stats.margin
+            stats = prob.probe(t * t, TOL).solver_stats
+            assert stats.status == "optimal"
+            return stats.margin
 
         for share in (0.5, 1.0, 2.0):
             t = math.sqrt(share * g_star)
@@ -756,7 +761,11 @@ def test_user_next_to_an_rrh_is_decided():
     assert out.status == "infeasible"
 
 
-@pytest.mark.parametrize("seed, trial", [(7, 1), (9, 0), (9, 1), (13, 3), (25, 4), (37, 0)])
+# configs/paper.json draws (seed, trial) with a user near an RRH
+HARD_PAPER_DRAWS = [(7, 1), (9, 0), (9, 1), (13, 3), (25, 4), (37, 0)]
+
+
+@pytest.mark.parametrize("seed, trial", HARD_PAPER_DRAWS)
 def test_paper_draws_with_a_user_near_an_rrh_decide(seed, trial):
     # configs/paper.json draws whose full-association max-min stalled at its
     # first probe before each cone's rows were scaled to unit size (6 of the
@@ -785,3 +794,125 @@ def test_tolerances_validation():
 def test_bad_tolerance_names_its_field(field, value):
     with pytest.raises(ValueError, match=f"^{field}: "):
         SolverTolerances(**{field: value})
+
+
+def test_a_search_ended_by_the_probe_cap_logs_a_warning(monkeypatch, caplog):
+    ch = random_channels(104, 4, 2, 2)
+    monkeypatch.setattr(beamforming, "_MAX_PROBES", 2)
+    with caplog.at_level(logging.WARNING):
+        gamma, _ = max_min_value(ch, AssociationMap.full(2, 4), [1.0, 1.0], 1.0, TOL)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.name == "cran_maxmin.beamforming"
+    message = record.getMessage()
+    assert "cap of 2 probes" in message
+    assert f"lo={gamma!r}," in message
+    hi = float(message.split("hi=")[1].split(",")[0])
+    assert hi - gamma > TOL.bisection_rel_tol * gamma
+    assert "association [[0, 1, 2, 3], [0, 1, 2, 3]]" in message
+
+
+def test_a_search_that_closes_its_bracket_logs_nothing(caplog):
+    ch = random_channels(104, 4, 2, 2)
+    with caplog.at_level(logging.WARNING):
+        max_min_value(ch, AssociationMap.full(2, 4), [1.0, 1.0], 1.0, TOL)
+    assert not caplog.records
+
+
+def _certificate_cases():
+    """(name, channels, association, caps, noise power): ROOT_FINDER_CASES
+    and the hard paper draws, on the full association."""
+    cases = [case[:5] for case in ROOT_FINDER_CASES]
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "paper.json")
+    for seed, trial in HARD_PAPER_DRAWS:
+        _, ch = draw_trial(replace(cfg, seed=seed), trial)
+        cases.append((f"paper-{seed}/{trial}", ch, AssociationMap.full(5, 15),
+                      cfg.power_caps_w(), cfg.noise_power_w()))
+    return cases
+
+
+CERTIFICATE_SHARES = (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)
+
+
+def _recording_certificates(monkeypatch):
+    """The _MarginCertificate of every probe, in order."""
+    made = []
+
+    class Recorded(beamforming._MarginCertificate):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(beamforming, "_MarginCertificate", Recorded)
+    return made
+
+
+class TestMarginCertificate:
+    """A probe that stops at a certified verdict against the same probe
+    solved to the strict test (a stop factor of 0 stops none early)."""
+
+    @pytest.mark.parametrize("case", _certificate_cases(), ids=lambda c: c[0])
+    def test_a_stopped_probe_agrees_with_the_full_solve(self, case, monkeypatch):
+        _, ch, assoc, caps, sigma2 = case
+        g_star = max_min_value(ch, assoc, caps, sigma2, TOL)[0]
+        targets = [share * g_star for share in CERTIFICATE_SHARES]
+        certs = _recording_certificates(monkeypatch)
+        outs = [check_feasible(ch, assoc, g, caps, sigma2, TOL) for g in targets]
+        monkeypatch.setattr(beamforming, "_STOP_KAPPA", 0.0)
+        refs = [check_feasible(ch, assoc, g, caps, sigma2, TOL) for g in targets]
+        stopped = 0
+        for gamma, out, ref, cert in zip(targets, outs, refs, certs):
+            assert ref.solver_stats.status == "optimal"
+            assert out.status == ref.status
+            if out.solver_stats.status == "stopped":
+                stopped += 1
+                assert cert.lower <= ref.solver_stats.margin <= cert.upper
+                assert out.solver_stats.margin == 0.5 * (cert.lower + cert.upper)
+            if out.status == "feasible":
+                bf = out.beamformers
+                assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-6)).all()
+                assert (per_rrh_power(bf) <= np.asarray(caps) * (1 + 1e-6)).all()
+        assert stopped > 0
+
+    @pytest.mark.parametrize("name", ["desk5-full", "paper-trial0-full"])
+    def test_a_corrupted_iterate_never_certifies(self, name):
+        # the final iterate of a full solve certifies its verdict; with one
+        # SINR cone's dual tail negated (at an infeasible target) or the
+        # beamformers doubled (at a feasible one) it must not, and its
+        # bounds must still meet the honest ones
+        ch, assoc, caps, sigma2 = _slope_cases()[name]
+        g_star = max_min_value(ch, assoc, caps, sigma2, TOL)[0]
+        for share, corrupt in ((2.0, "z"), (0.5, "x")):
+            prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
+            prob._margin = prob._build(True)
+            gamma = share * g_star
+            c = np.zeros(prob.nx)
+            c[0] = -1.0
+            res = prob._solve(prob._margin, gamma, c)
+            assert res.status == "optimal"
+            G, h, spec = prob._instantiate(prob._margin, gamma)
+            G = G.toarray()
+            cert = beamforming._MarginCertificate(prob, gamma, TOL.cone_feas_tol)
+
+            def judged(x, s, z):
+                args = (x, s, z, G.T @ z + c, G @ x + s - h, float(h @ z))
+                return cert.bounds(*args), cert(*args)
+
+            x, s, z = res.x.copy(), res.s.copy(), res.z.copy()
+            (lower, upper), stops = judged(x, s, z)
+            # -res.obj is the iterate's margin variable, which may sit above
+            # what its beamformers achieve (lower) by the strict test's
+            # residuals
+            assert stops and lower <= upper
+            assert -res.obj == pytest.approx(lower, rel=1e-7)
+            assert (lower >= -TOL.cone_feas_tol) == (share < 1.0)
+            if corrupt == "z":
+                z[spec.heads[0] + 1:spec.heads[1]] *= -1.0
+            else:
+                x[1:] *= 2.0
+            (bad_lower, bad_upper), stops = judged(x, s, z)
+            assert not stops
+            assert bad_lower <= upper and bad_upper >= lower

@@ -328,7 +328,7 @@ def test_user_blocks_equal_the_dense_tail_gram(monkeypatch, rng, name):
     template = prob._build(margin)
     seen = []
 
-    def record(c, G, h, spec, layout, start=None):
+    def record(c, G, h, spec, layout, start=None, stop=None):
         seen.append(G)
         return SimpleNamespace(s=np.zeros(spec.m), z=np.zeros(spec.m))
 
