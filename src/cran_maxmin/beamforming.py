@@ -47,9 +47,9 @@ _MAX_PROBES = 60
 # A margin probe stops once its bounds [L, U] on the optimal margin decide
 # the verdict and U - L <= _STOP_KAPPA |(L + U)/2 + cone_feas_tol|, so that
 # the Newton step the search aims with the margin misses by at most about
-# that share.  0.003 is the largest value at which no ROOT_FINDER_CASES
-# search needs more probes than its bound in the tests (at 0.01, desk4's
-# nearest-RRH search takes eight).
+# that share.  At 0.003 every max-min search of the tests' root-finder cases
+# keeps within its probe bound; at 0.01 and at 0.1, desk draw 4's search on
+# its nearest-RRH association needs more than seven probes.
 _STOP_KAPPA = 0.003
 
 # Relative rounding allowance of the upper bound's h'z and G'z.
@@ -164,10 +164,10 @@ class _MarginCertificate:
     of those bounds over the serving RRHs.  Then, where 1 + rx0 > 0,
     U = (h'z + ||rx[1:]|| b + rounding) / (1 + rx0); elsewhere U = inf."""
 
-    __slots__ = ("gamma", "tol", "heads", "h", "root_caps", "lower", "upper")
+    __slots__ = ("tol", "heads", "h", "root_caps", "lower", "upper")
 
     def __init__(self, prob: "_BeamProblem", gamma: float, tol: float):
-        self.gamma, self.tol = gamma, tol
+        self.tol = tol
         _, self.h, spec = prob._instantiate(prob._margin, gamma)
         self.heads = spec.heads
         self.root_caps = np.sqrt(prob.caps[np.unique(prob.pn)])
@@ -232,7 +232,7 @@ class _BeamProblem:
         self.nx = 1 + 2 * self.M * len(self.pk)
         self._margin = None  # templates are built on demand
         self._power = None
-        self._warm = None  # (gamma, (x, s, z)) of the last optimal probe
+        self._warm = None  # (gamma, (x, s, z)) of the last decided probe
 
     # -- template construction --------------------------------------------
     def _build(self, margin: bool) -> _Template:
