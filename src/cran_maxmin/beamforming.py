@@ -36,9 +36,9 @@ from cran_maxmin.socp import ConeSpec, CooMatrix, NewtonLayout, UserBlocks, solv
 
 _log = logging.getLogger(__name__)
 
-# A probe starts from the last optimal probe of its problem when its target
-# is within this relative distance of that probe's; farther away, the old
-# optimum is a worse start than the standard one.
+# A probe starts from the final iterate of its problem's last decided probe
+# when its target is within this relative distance of that probe's; farther
+# away, the old point is a worse start than the standard one.
 _WARM_GATE = 0.2
 
 # A max-min search makes at most this many feasibility probes.

@@ -583,12 +583,12 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
     rx = G'z + c and rz = G x + s - h and of the complementarity s o z, from
     an interior (s, z) that need not meet them (Vandenberghe, 2010).
 
-    start, when given, is the (x, s, z) of an optimal solve of a program of
-    the same shape, say at a nearby SINR target.  The iteration then starts
-    at lambda (x, s, z) + (1 - lambda) (0, e, e), with lambda =
-    _WARM_WEIGHT: interior, since e is, and close to that optimum (the warm
-    start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).  Without
-    it, the start is (0, e, e).
+    start, when given, is the final (x, s, z) of an optimal or stopped
+    solve of a program of the same shape, say at a nearby SINR target.  The
+    iteration then starts at lambda (x, s, z) + (1 - lambda) (0, e, e), with
+    lambda = _WARM_WEIGHT: interior, since e is, and close to that point
+    (the warm start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).
+    Without it, the start is (0, e, e).
 
     stop, when given, is called at every iterate that fails the strict test
     as stop(x, s, z, rx, rz, hz), with the residuals above and hz = h'z, all
