@@ -8,14 +8,17 @@ beamformers (each complex M-vector becomes 2M reals).  Zero-forced links
 not constrained to zero.
 
 Feasibility is decided through a margin reformulation: maximize the common
-slack s subject to every cone constraint holding with margin s; the query is
-feasible iff the optimal margin clears -cone_feas_tol.  This always leaves a
-strictly feasible, bounded program, so the interior-point engine never has
-to certify infeasibility on a knife edge.  The max-min search takes
-Newton steps on the margin's value, not just its sign, with the slope that
-each probe's optimal dual gives for free.  Its value and the power-min
-that tightens its beamformers are separate steps, so a caller that needs
-only the value pays for no power-min.
+slack s subject to every cone constraint holding with margin s.  This always
+leaves a strictly feasible, bounded program, so the interior-point engine
+never has to certify infeasibility on a knife edge.  The query is feasible
+iff the margin that the final iterate's own beamformers achieve is at least
+0, so the beamformers of a feasible verdict are a witness that `model.py`
+alone can check.  Otherwise it is infeasible: a probe that stops short of
+the optimum does so only once weak duality bounds the optimal margin below
+0.  The max-min search takes Newton steps on the margin's value, not just
+its sign, with the slope that each probe's optimal dual gives for free.
+Its value and the power-min that tightens its beamformers are separate
+steps, so a caller that needs only the value pays for no power-min.
 
 Channels are normalized by the noise amplitude before building the cones
 (SINRs are invariant under h -> h/sigma, sigma -> 1), which keeps every
@@ -45,11 +48,12 @@ _WARM_GATE = 0.2
 _MAX_PROBES = 60
 
 # A margin probe stops once its bounds [L, U] on the optimal margin decide
-# the verdict and U - L <= _STOP_KAPPA |(L + U)/2 + cone_feas_tol|, so that
-# the Newton step the search aims with the margin misses by at most about
-# that share.  At 0.003 every max-min search of the tests' root-finder cases
-# keeps within its probe bound; at 0.01 and at 0.1, desk draw 4's search on
-# its nearest-RRH association needs more than seven probes.
+# the verdict (L >= 0 or U < 0) and U - L <= _STOP_KAPPA |(L + U)/2|, so
+# that the Newton step the search aims with the margin misses by at most
+# about that share.  At 0.003 every max-min search of the tests'
+# root-finder cases keeps within its probe bound; at 0.01 and at 0.1, desk
+# draw 4's search on its nearest-RRH association needs more than seven
+# probes.
 _STOP_KAPPA = 0.003
 
 # Relative rounding allowance of the upper bound's h'z and G'z.
@@ -68,19 +72,16 @@ class SolverIndeterminate(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    """The solver's accuracy; the defaults are the program's.
+    """The solver's accuracy; the default is the program's.
 
     bisection_rel_tol: a max-min search stops once its bracket [lo feasible,
-    hi infeasible] has hi - lo <= bisection_rel_tol * lo.  cone_feas_tol: a
-    probe is feasible iff its optimal margin is at least -cone_feas_tol."""
+    hi infeasible] has hi - lo <= bisection_rel_tol * lo."""
 
     bisection_rel_tol: float = 1e-4
-    cone_feas_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("bisection_rel_tol", "cone_feas_tol"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name}: must be > 0")
+        if not self.bisection_rel_tol > 0:  # NaN fails too
+            raise ValueError("bisection_rel_tol: must be > 0")
 
     @property
     def hint_headroom(self) -> float:
@@ -164,10 +165,9 @@ class _MarginCertificate:
     of those bounds over the serving RRHs.  Then, where 1 + rx0 > 0,
     U = (h'z + ||rx[1:]|| b + rounding) / (1 + rx0); elsewhere U = inf."""
 
-    __slots__ = ("tol", "heads", "h", "root_caps", "lower", "upper")
+    __slots__ = ("heads", "h", "root_caps", "lower", "upper")
 
-    def __init__(self, prob: "_BeamProblem", gamma: float, tol: float):
-        self.tol = tol
+    def __init__(self, prob: "_BeamProblem", gamma: float):
         _, self.h, spec = prob._instantiate(prob._margin, gamma)
         self.heads = spec.heads
         self.root_caps = np.sqrt(prob.caps[np.unique(prob.pn)])
@@ -192,11 +192,10 @@ class _MarginCertificate:
 
     def __call__(self, x, s, z, rx, rz, hz) -> bool:
         """Whether [L, U] decides the verdict and pins the margin within
-        _STOP_KAPPA of its distance to -tol; keeps L and U."""
+        _STOP_KAPPA of its size; keeps L and U."""
         lower, upper = self.lower, self.upper = self.bounds(x, s, z, rx, rz, hz)
-        tol = self.tol
-        return ((lower >= -tol or upper < -tol)
-                and upper - lower <= _STOP_KAPPA * abs(0.5 * (lower + upper) + tol))
+        return ((lower >= 0.0 or upper < 0.0)
+                and upper - lower <= _STOP_KAPPA * abs(0.5 * (lower + upper)))
 
 
 class _BeamProblem:
@@ -426,10 +425,12 @@ class _BeamProblem:
                                       SolverStats("optimal", 0, -math.inf, 0.0, 0.0))
         return None
 
-    def probe(self, gamma: float, tol: SolverTolerances) -> FeasibilityOutcome:
-        """Feasibility verdict at SINR target gamma: `_trivial`'s, else from
-        the margin (feasible iff it clears -cone_feas_tol), else
-        indeterminate.  The solve ends at the optimum or, often sooner,
+    def probe(self, gamma: float) -> FeasibilityOutcome:
+        """Feasibility verdict at SINR target gamma: `_trivial`'s, else
+        feasible iff the final iterate's own beamformers achieve it
+        (`_MarginCertificate`'s L >= 0; they are returned as the witness),
+        else infeasible, unless the solve ended indeterminate.  The solve
+        ends at the optimum, whose margin is reported, or, often sooner,
         where `_MarginCertificate` decides the verdict and pins the margin
         well enough for the search's next Newton step; the margin reported
         is then the midpoint of its bounds.  It starts from the last
@@ -445,20 +446,18 @@ class _BeamProblem:
         start = None
         if self._warm is not None and abs(gamma / self._warm[0] - 1.0) <= _WARM_GATE:
             start = self._warm[1]
-        cert = _MarginCertificate(self, gamma, tol.cone_feas_tol)
+        cert = _MarginCertificate(self, gamma)
         res = self._solve(self._margin, gamma, c, start, stop=cert)
         stats = SolverStats(res.status, res.iterations, -res.obj, res.pres, res.dres)
         if res.status == "indeterminate":
             return FeasibilityOutcome("indeterminate", None, stats)
         self._warm = (gamma, (res.x, res.s, res.z))
-        feasible = stats.margin >= -tol.cone_feas_tol
         if res.status == "stopped":
             stats.margin = 0.5 * (cert.lower + cert.upper)
-            feasible = cert.lower >= -tol.cone_feas_tol
         # d(margin)/dt = z'(dh/dt - dG/dt x) by the envelope theorem; G x = -s on tails
         tail, noise = self._margin.tail_rows, self._margin.noise_rows
         stats.slope = float(res.z[noise].sum() + res.z[tail] @ res.s[tail] / math.sqrt(gamma))
-        if feasible:
+        if cert.lower >= 0.0:
             return FeasibilityOutcome("feasible", self.unpack(res.x), stats)
         return FeasibilityOutcome("infeasible", None, stats)
 
@@ -491,20 +490,21 @@ class _BeamProblem:
 def check_feasible(ch: ChannelState, assoc: AssociationMap, gamma_target: float,
                    power_cap_w, noise_power_w: float,
                    tol: SolverTolerances = SolverTolerances()) -> FeasibilityOutcome:
-    """Whether SINR target gamma_target is achievable at every user (`_BeamProblem.probe`)."""
-    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target, tol)
+    """Whether SINR target gamma_target is achievable at every user
+    (`_BeamProblem.probe`).  tol is not read."""
+    return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).probe(gamma_target)
 
 
 def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
                      gamma_lb: Optional[float] = None):
     """Shrink the bracket [lo feasible, hi infeasible] around the max-min
     optimum until hi - lo <= bisection_rel_tol * lo, with at most
-    _MAX_PROBES probes.  Returns (lo, beamformers at lo); if the cap ends
-    the search first, it logs a WARNING that names lo, hi and the
-    association.
+    _MAX_PROBES probes.  Returns (lo, the beamformers of lo's probe, which
+    achieve lo); if the cap ends the search first, it logs a WARNING that
+    names lo, hi and the association.
 
-    f = margin + cone_feas_tol is >= 0 exactly at the feasible targets and
-    falls smoothly in t = sqrt(gamma).  The first probe is at gamma_lb when
+    The optimal margin is >= 0 exactly at the feasible targets and falls
+    smoothly in t = sqrt(gamma).  The first probe is at gamma_lb when
     0 < gamma_lb < gamma_ub, else at gamma_ub (if feasible, the search ends
     there); a lower start that proves infeasible is an upper end like any
     other infeasible probe.  Each later probe is a Newton step in t
@@ -521,7 +521,7 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
     for _ in range(_MAX_PROBES):
         if hi - lo <= tol.bisection_rel_tol * lo:
             break
-        out = prob.probe(gamma, tol)
+        out = prob.probe(gamma)
         stats = out.solver_stats
         if out.status == "indeterminate":
             raise SolverIndeterminate(
@@ -532,7 +532,7 @@ def _max_min_bracket(prob: _BeamProblem, gamma_ub: float, tol: SolverTolerances,
             hi, side = gamma, -1
         # a slope that is not negative makes t NaN, which falls back to the midpoint
         slope = stats.slope if stats.slope is not None and stats.slope < 0.0 else math.nan
-        t = math.sqrt(gamma) - (stats.margin + tol.cone_feas_tol) / slope
+        t = math.sqrt(gamma) - stats.margin / slope
         gamma = t * t * (1.0 + 0.45 * tol.bisection_rel_tol * side)
         if not (t > 0.0 and lo < gamma < hi):
             gamma = 0.5 * (lo + hi)
@@ -582,20 +582,16 @@ def tighten_max_min(ch: ChannelState, assoc: AssociationMap, gamma: float,
                     noise_power_w: float) -> BeamformerSet:
     """The max-min beamformers at value gamma, from `max_min_value`'s
     (gamma, probe_bf): a power-minimization solve at gamma, so every user
-    sits exactly at the common SINR.  If that solve fails at gamma and at
-    gamma (1 - 1e-6), probe_bf is returned and a WARNING is logged.  Only
-    the power template is built, and none at gamma = 0.
+    sits exactly at the common SINR.  If that solve fails, a WARNING names
+    its status and probe_bf, which achieves gamma, is returned.  Only the
+    power template is built, and none at gamma = 0.
     """
-    prob = _BeamProblem(ch, assoc, power_cap_w, noise_power_w)
-    statuses = []
-    for target in (gamma, gamma * (1.0 - 1e-6)):
-        try:
-            return prob.solve_power_min(target)
-        except SolverIndeterminate as exc:
-            statuses.append(exc.stats.status)
-    _log.warning("power-min at gamma=%r failed (%s), association %s: "
-                 "keeping the feasibility probe's beamformers",
-                 gamma, ", ".join(statuses), [sorted(s) for s in assoc.omega])
+    try:
+        return _BeamProblem(ch, assoc, power_cap_w, noise_power_w).solve_power_min(gamma)
+    except SolverIndeterminate as exc:
+        _log.warning("power-min at gamma=%r failed (%s), association %s: "
+                     "keeping the feasibility probe's beamformers",
+                     gamma, exc.stats.status, [sorted(s) for s in assoc.omega])
     return probe_bf
 
 

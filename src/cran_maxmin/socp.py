@@ -590,10 +590,12 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
     (the warm start of Skajaa, Andersen and Ye, Math. Prog. Comp. 5, 2013).
     Without it, the start is (0, e, e).
 
-    stop, when given, is called at every iterate that fails the strict test
+    stop, when given, is called at every iterate, before the strict test,
     as stop(x, s, z, rx, rz, hz), with the residuals above and hz = h'z, all
-    of which the iteration has formed anyway; a true return ends the solve
-    there with status "stopped"."""
+    of which the iteration has formed anyway; so an optimal or stopped
+    solve's last call is at its final iterate.  A true return at an
+    iterate that fails the strict test ends the solve there with status
+    "stopped"."""
     m, n = G.shape
     if m != spec.m or c.shape != (n,) or h.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
@@ -625,9 +627,10 @@ def solve_socp(c: np.ndarray, G: CooMatrix, h: np.ndarray, spec: ConeSpec,
         pres = float(np.linalg.norm(rz)) / normh
         dres = float(np.linalg.norm(rx)) / normc
         relgap = gap / max(1.0, abs(cx), abs(hz))
+        stopped = stop is not None and stop(x, s, z, rx, rz, hz)
         if pres <= _FEASTOL and dres <= _FEASTOL and (gap <= _ABSTOL or relgap <= _RELTOL):
             return SocpResult("optimal", x, s, z, cx, it, pres, dres, relgap)
-        if stop is not None and stop(x, s, z, rx, rz, hz):
+        if stopped:
             return SocpResult("stopped", x, s, z, cx, it, pres, dres, relgap)
 
         try:

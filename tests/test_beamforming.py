@@ -38,6 +38,13 @@ def mrt_bound(ch, caps, sigma2):
     return mrt_gamma_upper_bound(ch, caps, sigma2)
 
 
+def assert_witness(ch, bf, gamma, caps, sigma2):
+    """bf meets SINR target gamma at every user within the per-RRH power
+    caps, by model.py alone, up to a relative rounding allowance of 1e-12."""
+    assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-12)).all()
+    assert (per_rrh_power(bf) <= np.asarray(caps) * (1 + 1e-12)).all()
+
+
 class TestCheckFeasible:
     def test_zero_target_always_feasible(self):
         ch = random_channels(0, 2, 2, 2)
@@ -201,7 +208,7 @@ def reference_bisection(ch, assoc, caps, sigma2):
         if hi - lo <= TOL.bisection_rel_tol * lo:
             break
         mid = 0.5 * (lo + hi)
-        status = prob.probe(mid, TOL).status
+        status = prob.probe(mid).status
         assert status != "indeterminate"
         if status == "feasible":
             lo = mid
@@ -253,21 +260,32 @@ def _hint(case):
 
 
 def _counting_probes(monkeypatch):
+    """The target of every probe, in order.  Each feasible verdict's
+    beamformers must be a witness of its target (`assert_witness`)."""
     calls = []
-    probe = beamforming._BeamProblem.probe
+    init, probe = beamforming._BeamProblem.__init__, beamforming._BeamProblem.probe
 
-    def counted(self, gamma, tol):
+    def recorded_init(self, ch, assoc, caps, sigma2):
+        init(self, ch, assoc, caps, sigma2)
+        self.sigma2 = sigma2
+
+    def counted(self, gamma):
         calls.append(gamma)
-        return probe(self, gamma, tol)
+        out = probe(self, gamma)
+        if out.status == "feasible":
+            assert_witness(self.ch, out.beamformers, gamma, self.caps, self.sigma2)
+        return out
 
+    monkeypatch.setattr(beamforming._BeamProblem, "__init__", recorded_init)
     monkeypatch.setattr(beamforming._BeamProblem, "probe", counted)
     return calls
 
 
 class TestMarginRootFinder:
     @pytest.mark.parametrize("case", ROOT_FINDER_CASES, ids=lambda c: c[0])
-    def test_matches_reference_bisection(self, case):
+    def test_matches_reference_bisection(self, case, monkeypatch):
         _, ch, assoc, caps, sigma2, _ = case
+        _counting_probes(monkeypatch)
         gamma, bf = solve_max_min(ch, assoc, caps, sigma2, TOL,
                                   gamma_upper_hint=_hint(case))
         ref = reference_bisection(ch, assoc, caps, sigma2)
@@ -327,10 +345,11 @@ class TestMarginRootFinder:
     def test_no_slope_falls_back_to_the_midpoint(self, case, slope, monkeypatch):
         _, ch, assoc, caps, sigma2, _ = case
         hint = _hint(case)
+        _counting_probes(monkeypatch)
         probe = beamforming._BeamProblem.probe
 
-        def slopeless(self, gamma, tol):
-            out = probe(self, gamma, tol)
+        def slopeless(self, gamma):
+            out = probe(self, gamma)
             out.solver_stats.slope = slope
             return out
 
@@ -381,7 +400,7 @@ class TestWarmStarts:
         calls = _counting_solves(monkeypatch)
         gamma = 0.1 * per_user_gamma_upper_bound(ch, assoc, caps, sigma2)
         for target in (gamma, 1.1 * gamma, 2.0 * gamma, 1.9 * gamma):
-            prob.probe(target, TOL)
+            prob.probe(target)
         assert [start is not None for start, _ in calls] == [False, True, False, True]
 
     def test_check_feasible_starts_cold(self, monkeypatch):
@@ -414,7 +433,7 @@ class TestLowerHint:
             gamma, bf, calls = self._search(monkeypatch, gamma_lower_hint=lower)
             assert calls[0] == lower
             assert abs(gamma - g_star) <= 2 * TOL.bisection_rel_tol * g_star
-            assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-6)).all()
+            assert_witness(ch, bf, gamma, caps, sigma2)
 
     @pytest.mark.parametrize("share", [1.0, 2.0, 0.0, -1.0, math.nan])
     def test_a_lower_hint_outside_the_bracket_is_ignored(self, share, monkeypatch):
@@ -450,13 +469,13 @@ class TestProbeSlope:
         prob = beamforming._BeamProblem(ch, assoc, caps, sigma2)
 
         def margin(t):
-            stats = prob.probe(t * t, TOL).solver_stats
+            stats = prob.probe(t * t).solver_stats
             assert stats.status == "optimal"
             return stats.margin
 
         for share in (0.5, 1.0, 2.0):
             t = math.sqrt(share * g_star)
-            slope = prob.probe(t * t, TOL).solver_stats.slope
+            slope = prob.probe(t * t).solver_stats.slope
             step = 1e-5 * t
             fd = (margin(t + step) - margin(t - step)) / (2 * step)
             assert slope == pytest.approx(fd, rel=1e-3)
@@ -464,7 +483,7 @@ class TestProbeSlope:
     def test_no_slope_at_zero_target(self):
         _, ch, sigma2 = desk_instance(5)
         prob = beamforming._BeamProblem(ch, AssociationMap.full(3, 6), (1.0,) * 3, sigma2)
-        stats = prob.probe(0.0, TOL).solver_stats
+        stats = prob.probe(0.0).solver_stats
         assert stats.status == "optimal"
         assert stats.slope is None
 
@@ -506,47 +525,48 @@ class TestPowerMinFallback:
             g0, _ = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL)
         assert not caplog.records
 
-        failures = iter([
-            SolverIndeterminate("stalled", SolverStats("indeterminate", 25, None,
-                                                       3e-6, 0.0)),
-            SolverIndeterminate("stalled", SolverStats("indeterminate", 100, None,
-                                                       2e-2, 0.0)),
-        ])
+        targets = []
 
         def failing(self, gamma):
-            raise next(failures)
+            targets.append(gamma)
+            raise SolverIndeterminate("stalled", SolverStats("indeterminate", 25, None,
+                                                             3e-6, 0.0))
 
         monkeypatch.setattr(beamforming._BeamProblem, "solve_power_min", failing)
         with caplog.at_level(logging.WARNING, logger="cran_maxmin.beamforming"):
             gamma, bf = solve_max_min(ch, assoc, [1.0, 1.0], 1.0, TOL)
-        assert gamma == g0
-        assert (compute_all_sinrs(ch, bf, 1.0) >= gamma * (1 - 1e-6)).all()
+        assert gamma == g0 and targets == [gamma]
+        assert_witness(ch, bf, gamma, [1.0, 1.0], 1.0)
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert record.name == "cran_maxmin.beamforming"
         message = record.getMessage()
         assert repr(gamma) in message
-        assert "indeterminate, indeterminate" in message
+        assert "failed (indeterminate), association" in message
         assert str([sorted(s) for s in assoc.omega]) in message
 
 
 # desk trials 7 and 11, and a bench1 association of each whose tightening
-# power-min stalls at gamma (dual residual rising over its last iterations)
+# power-min once stalled at gamma (dual residual rising over its last
+# iterations); and desk trial 16, with an association whose search once
+# ended at a lo that its probe's beamformers missed by 2.5e-7, so that the
+# power-min at lo had no solution
 STALLED_TIGHTENINGS = {
     7: [[0, 1, 2, 5], [0, 1, 2, 4, 5], [0, 2, 3, 4, 5]],
     11: [[0, 2, 3, 4, 5], [1, 2, 3, 4, 5], [0, 2, 3, 5]],
+    16: [[0, 2, 3, 4], [1, 2, 3], [1, 2, 3, 5]],
 }
 
 
 @pytest.mark.parametrize("trial", sorted(STALLED_TIGHTENINGS))
-def test_stalled_tightening_is_retried_not_relaxed(monkeypatch, caplog, trial):
+def test_each_tightening_is_one_strict_power_min(monkeypatch, caplog, trial):
     # whole trials, since a lone run_algorithm1 does not share the sweep's
     # cache and may not reach the same gamma.  No solve may end "optimal"
-    # outside the strict test; the stalled tightening ends indeterminate and
-    # its retry at gamma (1 - 1e-6) tightens the beamformers
+    # outside the strict test, and every tightening at a positive value is
+    # one power-min solve that ends "optimal"
     cfg = ExperimentConfig.from_json(
         Path(__file__).resolve().parent.parent / "configs" / "desk.json")
-    results, tightened = [], {}
+    results, tightened, statuses = [], {}, []
     solve, tighten = beamforming.solve_socp, association.tighten_max_min
 
     def recorded_solve(*args, **kwargs):
@@ -554,8 +574,10 @@ def test_stalled_tightening_is_retried_not_relaxed(monkeypatch, caplog, trial):
         return results[-1]
 
     def recorded_tighten(ch, assoc, gamma, *args):
+        first = len(results)
         bf = tighten(ch, assoc, gamma, *args)
         tightened[assoc.omega] = (ch, gamma, bf)
+        statuses.append((gamma, [res.status for res in results[first:]]))
         return bf
 
     monkeypatch.setattr(beamforming, "solve_socp", recorded_solve)
@@ -563,6 +585,8 @@ def test_stalled_tightening_is_retried_not_relaxed(monkeypatch, caplog, trial):
     with caplog.at_level(logging.WARNING):
         harness._run_trial(cfg, trial)
     assert not caplog.records
+    assert statuses and all(ends == (["optimal"] if gamma > 0.0 else [])
+                            for gamma, ends in statuses)
     for res in results:
         if res.status == "optimal":
             assert res.pres <= socp._FEASTOL and res.dres <= socp._FEASTOL
@@ -720,17 +744,16 @@ class TestTrivialCases:
             self.CALLS["solve_power_min"](self.UNSERVED, 0.5, caps)
 
     def test_the_problem_decides_trivial_targets_itself(self):
-        tol = SolverTolerances()
         full = beamforming._BeamProblem(self.CH, self.FULL, [1.0, 1.0], 1.0)
-        out = full.probe(0.0, tol)
+        out = full.probe(0.0)
         assert out.status == "feasible" and not out.beamformers.w.any()
         assert out.solver_stats.slope is None
         assert not full.solve_power_min(0.0).w.any()
         unserved = beamforming._BeamProblem(self.CH, self.UNSERVED, [1.0, 1.0], 1.0)
-        assert unserved.probe(0.5, tol).status == "infeasible"
+        assert unserved.probe(0.5).status == "infeasible"
         with pytest.raises(ValueError, match="unserved"):
             unserved.solve_power_min(0.5)
-        for call in (lambda: full.probe(-1.0, tol), lambda: full.solve_power_min(-1.0)):
+        for call in (lambda: full.probe(-1.0), lambda: full.solve_power_min(-1.0)):
             with pytest.raises(ValueError, match="nonnegative"):
                 call()
 
@@ -766,29 +789,39 @@ HARD_PAPER_DRAWS = [(7, 1), (9, 0), (9, 1), (13, 3), (25, 4), (37, 0)]
 
 
 @pytest.mark.parametrize("seed, trial", HARD_PAPER_DRAWS)
-def test_paper_draws_with_a_user_near_an_rrh_decide(seed, trial):
+def test_paper_draws_with_a_user_near_an_rrh_decide(seed, trial, monkeypatch):
     # configs/paper.json draws whose full-association max-min stalled at its
     # first probe before each cone's rows were scaled to unit size (6 of the
-    # 200 draws of seeds 1-40, trials 0-4); the probe's beamformers at the
-    # value are checked with model.py alone
+    # 200 draws of seeds 1-40, trials 0-4); every feasible probe's
+    # beamformers, those at the value included, are checked with model.py
+    # alone
     cfg = ExperimentConfig.from_json(
         Path(__file__).resolve().parent.parent / "configs" / "paper.json")
     _, ch = draw_trial(replace(cfg, seed=seed), trial)
     caps, noise = cfg.power_caps_w(), cfg.noise_power_w()
+    _counting_probes(monkeypatch)
     gamma, bf = max_min_value(ch, AssociationMap.full(5, 15), caps, noise)
     assert gamma > 0.0
-    assert (compute_all_sinrs(ch, bf, noise) >= gamma * (1 - 1e-6)).all()
-    assert (per_rrh_power(bf) <= np.asarray(caps) * (1 + 1e-6)).all()
+    assert_witness(ch, bf, gamma, caps, noise)
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        SolverTolerances(bisection_rel_tol=0.0)
+def test_a_target_its_beamformers_miss_is_not_feasible():
+    # desk trial 16's association of STALLED_TIGHTENINGS at the lo its
+    # search once ended at: the optimal margin there is -8.2e-8, and the
+    # probe called it feasible with beamformers that missed it by 2.5e-7
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "desk.json")
+    _, ch = draw_trial(cfg, 16)
+    assoc = AssociationMap(tuple(map(frozenset, STALLED_TIGHTENINGS[16])))
+    caps, noise, gamma = cfg.power_caps_w(), cfg.noise_power_w(), 0.35292148310709515
+    out = check_feasible(ch, assoc, gamma, caps, noise)
+    assert out.status in ("feasible", "infeasible")
+    if out.status == "feasible":
+        assert_witness(ch, out.beamformers, gamma, caps, noise)
 
 
 @pytest.mark.parametrize("field, value", [
     ("bisection_rel_tol", 0),
-    ("cone_feas_tol", math.nan),
     ("bisection_rel_tol", math.nan),
 ])
 def test_bad_tolerance_names_its_field(field, value):
@@ -872,9 +905,7 @@ class TestMarginCertificate:
                 assert cert.lower <= ref.solver_stats.margin <= cert.upper
                 assert out.solver_stats.margin == 0.5 * (cert.lower + cert.upper)
             if out.status == "feasible":
-                bf = out.beamformers
-                assert (compute_all_sinrs(ch, bf, sigma2) >= gamma * (1 - 1e-6)).all()
-                assert (per_rrh_power(bf) <= np.asarray(caps) * (1 + 1e-6)).all()
+                assert_witness(ch, out.beamformers, gamma, caps, sigma2)
         assert stopped > 0
 
     @pytest.mark.parametrize("name", ["desk5-full", "paper-trial0-full"])
@@ -895,7 +926,7 @@ class TestMarginCertificate:
             assert res.status == "optimal"
             G, h, spec = prob._instantiate(prob._margin, gamma)
             G = G.toarray()
-            cert = beamforming._MarginCertificate(prob, gamma, TOL.cone_feas_tol)
+            cert = beamforming._MarginCertificate(prob, gamma)
 
             def judged(x, s, z):
                 args = (x, s, z, G.T @ z + c, G @ x + s - h, float(h @ z))
@@ -908,7 +939,7 @@ class TestMarginCertificate:
             # residuals
             assert stops and lower <= upper
             assert -res.obj == pytest.approx(lower, rel=1e-7)
-            assert (lower >= -TOL.cone_feas_tol) == (share < 1.0)
+            assert (lower >= 0.0) == (share < 1.0)
             if corrupt == "z":
                 z[spec.heads[0] + 1:spec.heads[1]] *= -1.0
             else:
